@@ -42,7 +42,6 @@ from .endo import (
 from .exprs import parse_expression, parse_scalar
 from .kernel import BACKEND as KERNEL_BACKEND
 from .modular import (
-    ModularContext,
     flow_fixed_degree,
     gram_matrix,
     inner,
@@ -77,7 +76,6 @@ from .semigroup import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "Degree",
     "Element",
     "EMPTY_WORD",
@@ -86,7 +84,6 @@ __all__ = [
     "GenTerm",
     "GradedActionModel",
     "KERNEL_BACKEND",
-    "ModularContext",
     "Permutation2D",
     "UnitaryPair",
     "Word",

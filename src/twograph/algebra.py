@@ -85,21 +85,8 @@ class Element:
         theta: Permutation2D,
         terms: Mapping[GenTerm, ExactScalar] | None = None,
     ):
-        clean: dict[GenTerm, ExactScalar] = {}
-        if terms:
-            for t, c in terms.items():
-                if not c.is_zero:
-                    prev = clean.get(t)
-                    if prev is None:
-                        clean[t] = c
-                    else:
-                        s = prev + c
-                        if s.is_zero:
-                            del clean[t]
-                        else:
-                            clean[t] = s
         self.theta = theta
-        self._terms = clean
+        self._terms = {t: c for t, c in terms.items() if not c.is_zero} if terms else {}
 
     # --- constructors -------------------------------------------------------
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import endo as en
 from . import modular as md
 from .algebra import Element
-from .errors import TwoGraphError
+from .errors import MalformedInput, TwoGraphError
 from .exprs import parse_expression
 from .kernel import BACKEND
 from .oracle import GradedActionModel
@@ -158,28 +158,33 @@ def _split_top_level(text: str) -> list[str]:
     return [p.strip() for p in parts]
 
 
+_PAIR_SPEC_ARITY = {"ex39": 1, "ex310": 2, "canonical": 2, "inner": 1, "pair": 2}
+
+
 def parse_pair_spec(spec: str, theta: Permutation2D) -> en.UnitaryPair:
     spec = spec.strip()
     if spec in ("ex312", "ex313", "ex311"):
         return en.gallery(theta, spec)
-    for name in ("ex39", "ex310", "canonical", "inner", "pair"):
-        if spec.startswith(name + "(") and spec.endswith(")"):
-            inner_text = spec[len(name) + 1:-1]
-            args = _split_top_level(inner_text)
-            if name == "ex39":
-                return en.gallery(theta, "ex39", u=parse_expression(args[0], theta))
-            if name == "ex310":
-                return en.gallery(theta, "ex310",
-                                  u=parse_expression(args[0], theta),
-                                  v=parse_expression(args[1], theta))
-            if name == "canonical":
-                return en.canonical_pair(theta, int(args[0]), int(args[1]))
-            if name == "inner":
-                return en.inner_pair(parse_expression(args[0], theta))
-            if name == "pair":
-                return en.UnitaryPair(parse_expression(args[0], theta),
-                                      parse_expression(args[1], theta))
-    raise TwoGraphError(f"unknown pair spec {spec!r}")
+    name, paren, rest = spec.partition("(")
+    if name not in _PAIR_SPEC_ARITY or not paren or not rest.endswith(")"):
+        raise MalformedInput(f"unknown pair spec {spec!r}")
+    args = _split_top_level(rest[:-1])
+    if len(args) != _PAIR_SPEC_ARITY[name]:
+        raise MalformedInput(
+            f"{name} takes {_PAIR_SPEC_ARITY[name]} argument(s), got {len(args)} in {spec!r}"
+        )
+    if name == "canonical":
+        try:
+            p, q = int(args[0]), int(args[1])
+        except ValueError:
+            raise MalformedInput(f"canonical needs integer degrees, got {spec!r}") from None
+        return en.canonical_pair(theta, p, q)
+    elements = [parse_expression(arg, theta) for arg in args]
+    if name == "inner":
+        return en.inner_pair(elements[0])
+    if name == "pair":
+        return en.UnitaryPair(*elements)
+    return en.gallery(theta, name, *elements)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -64,12 +64,22 @@ def twisted_check(u: Element, v: Element) -> tuple[bool, Element | None]:
     failed first).
     """
     u._require_same_theta(v)
-    if not is_unitary(u) or not is_unitary(v):
+    twist = _twist(u, v)
+    if twist is None:
         return False, None
-    residual = (mul(u, shift_e(v)) - mul(v, shift_f(u))).canonicalize()
+    residual = twist[1]
     if residual.is_empty:
         return True, None
     return False, residual
+
+
+def _twist(u: Element, v: Element) -> tuple[Element, Element] | None:
+    """W = u*shift_e(v) and the canonical residual W - v*shift_f(u), or None
+    if u or v is not unitary."""
+    if not (is_unitary(u) and is_unitary(v)):
+        return None
+    w = mul(u, shift_e(v))
+    return w, (w - mul(v, shift_f(u))).canonicalize()
 
 
 class UnitaryPair:
@@ -82,27 +92,20 @@ class UnitaryPair:
         self.theta = u.theta
         self.U = u.canonicalize()
         self.V = v.canonicalize()
-        if check:
-            ok, residual = twisted_check(u, v)
-            if not ok:
-                raise NotTwisted(
-                    "pair is not twisted"
-                    + (f"; residual {residual}" if residual is not None else "")
-                )
-        self.W = mul(u, shift_e(v))
-        if check:
-            # the two expressions for W agree; cheap consistency assertion
-            other = mul(v, shift_f(u))
-            if not (self.W - other).is_zero():
-                raise NotTwisted("derived unitary differs between the two expressions")
+        if not check:
+            self.W = mul(u, shift_e(v))
+            return
+        twist = _twist(u, v)
+        if twist is None:
+            raise NotTwisted("pair is not twisted")
+        self.W, residual = twist
+        if not residual.is_empty:
+            raise NotTwisted(f"pair is not twisted; residual {residual}")
 
     @classmethod
     def identity(cls, theta: Permutation2D) -> "UnitaryPair":
         one = Element.unit(theta)
-        return cls(one, one, check=False)._finish_identity()
-
-    def _finish_identity(self) -> "UnitaryPair":
-        return self
+        return cls(one, one, check=False)
 
     def equals(self, other: "UnitaryPair") -> bool:
         return self.U == other.U and self.V == other.V

@@ -53,6 +53,11 @@ class OutOfWindow(TwoGraphError):
     """A truncated-model evaluation would leave the configured window."""
 
 
+class MalformedInput(TwoGraphError, ValueError):
+    """Malformed word or pair-spec text; also a ValueError for callers that
+    catch one."""
+
+
 class ExpressionSyntaxError(TwoGraphError):
     """Malformed expression text; carries the offending position."""
 

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Element, GenTerm, mul
 from .scalar import ExactScalar, power_of_base
-from .semigroup import Degree, Permutation2D, deg_sub
+from .semigroup import Degree, Permutation2D
 
 
 def omega(a: Element) -> ExactScalar:
@@ -53,49 +52,34 @@ def tomita_s(a: Element) -> Element:
 
 
 def tomita_f(a: Element) -> Element:
-    """Adjoint of the involution: scales-and-swaps s_u s_v* by n^(d(u)-d(v))."""
-    acc = {}
-    for t, c in a._terms.items():
-        factor = power_of_base(a.theta, t.degree, 1)
-        _add(acc, GenTerm(t.v, t.u), c.conjugate() * factor)
-    return Element(a.theta, acc)
+    """Adjoint of the involution: s_u s_v* -> m^a n^b s_v s_u* (anti-linear),
+    where (a, b) = d(u) - d(v)."""
+    return _scale_terms(a, 1, swap=True)
 
 
 def modular_conjugation(a: Element) -> Element:
-    """Anti-unitary J: s_u s_v* -> n^((d(u)-d(v))/2) s_v s_u*."""
-    half = Fraction(1, 2)
-    acc = {}
-    for t, c in a._terms.items():
-        factor = power_of_base(a.theta, t.degree, half)
-        _add(acc, GenTerm(t.v, t.u), c.conjugate() * factor)
-    return Element(a.theta, acc)
+    """Anti-unitary J: s_u s_v* -> m^(a/2) n^(b/2) s_v s_u*, where
+    (a, b) = d(u) - d(v)."""
+    return _scale_terms(a, Fraction(1, 2), swap=True)
 
 
 def modular_power(z, a: Element) -> Element:
     """The z-th power of the modular operator, exact for rational z:
-    scales s_u s_v* by n^(z (d(v)-d(u)))."""
-    z = Fraction(z)
-    acc = {}
-    for t, c in a._terms.items():
-        factor = power_of_base(a.theta, deg_sub(t.v.degree, t.u.degree), z)
-        _add(acc, t, c * factor)
-    return Element(a.theta, acc)
+    scales s_u s_v* by m^(-z a) n^(-z b), where (a, b) = d(u) - d(v)."""
+    return _scale_terms(a, -Fraction(z), swap=False)
 
 
 def modular_flow(t, a: Element):
     """Modular automorphism group on generators.
 
     At the special value t = "i" (analytic continuation) the action is the
-    exact grading s_u s_v* -> n^(d(u)-d(v)) s_u s_v* and an Element is
-    returned. At real t the phases n^(it(d(v)-d(u))) are irrational, so a
-    float coefficient map {term: complex} is returned instead.
+    exact grading s_u s_v* -> m^a n^b s_u s_v*, (a, b) = d(u) - d(v), and an
+    Element is returned. At real t the phases m^(-ita) n^(-itb) are
+    irrational, so a float coefficient map {term: complex} is returned
+    instead.
     """
     if t == "i":
-        acc = {}
-        for term, c in a._terms.items():
-            factor = power_of_base(a.theta, term.degree, 1)
-            _add(acc, term, c * factor)
-        return Element(a.theta, acc)
+        return _scale_terms(a, 1, swap=False)
     t = float(t)
     lm, ln = math.log(a.theta.m), math.log(a.theta.n)
     out = {}
@@ -104,6 +88,22 @@ def modular_flow(t, a: Element):
         phase = cmath.exp(1j * t * (lm * (dv1 - du1) + ln * (dv2 - du2)))
         out[term] = c.to_complex() * phase
     return out
+
+
+def _scale_terms(a: Element, z, swap: bool) -> Element:
+    """s_u s_v* -> m^(z a) n^(z b) s_u s_v*, where (a, b) = d(u) - d(v); with
+    `swap` the term becomes s_v s_u* and its coefficient is conjugated.
+
+    Both maps are injective on terms, so no two images need merging."""
+    theta = a.theta
+    if swap:
+        terms = {
+            GenTerm(t.v, t.u): c.conjugate() * power_of_base(theta, t.degree, z)
+            for t, c in a._terms.items()
+        }
+    else:
+        terms = {t: c * power_of_base(theta, t.degree, z) for t, c in a._terms.items()}
+    return Element(theta, terms)
 
 
 def kms_check(a: Element, b: Element) -> tuple[bool, ExactScalar, ExactScalar]:
@@ -160,44 +160,3 @@ def flow_fixed_degree(theta: Permutation2D, delta: Degree) -> bool:
     """True iff generators of degree difference delta are fixed by the
     modular flow, i.e. m^(delta_1) n^(delta_2) = 1 exactly."""
     return power_of_base(theta, delta, 1) == ExactScalar.one()
-
-
-@dataclass(frozen=True)
-class ModularContext:
-    """Bundles the ambient table with the float comparison tolerance."""
-
-    theta: Permutation2D
-    float_tolerance: float = 1e-9
-
-    def __post_init__(self):
-        if self.float_tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
-
-    omega = staticmethod(omega)
-    inner = staticmethod(inner)
-    tomita_s = staticmethod(tomita_s)
-    tomita_f = staticmethod(tomita_f)
-    modular_conjugation = staticmethod(modular_conjugation)
-    modular_power = staticmethod(modular_power)
-    modular_flow = staticmethod(modular_flow)
-    kms_check = staticmethod(kms_check)
-    gram_matrix = staticmethod(gram_matrix)
-
-    def spectrum_window(self, window: int) -> list[ExactScalar]:
-        return modular_spectrum_window(self.theta, window)
-
-    def fixed_degree(self, delta: Degree) -> bool:
-        return flow_fixed_degree(self.theta, delta)
-
-
-def _add(acc, t, c):
-    prev = acc.get(t)
-    if prev is None:
-        if not c.is_zero:
-            acc[t] = c
-    else:
-        s = prev + c
-        if s.is_zero:
-            del acc[t]
-        else:
-            acc[t] = s

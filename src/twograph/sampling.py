@@ -74,24 +74,8 @@ def random_core_element(
     return Element(theta, acc)
 
 
-def random_homogeneous_element(
-    rng: random.Random, theta: Permutation2D, level: Degree, terms: int = 2
-) -> Element:
-    """Random element supported on a single degree difference."""
-    u_deg = random_degree(rng, level)
-    v_deg = random_degree(rng, level)
-    acc: dict[GenTerm, ExactScalar] = {}
-    for _ in range(terms):
-        u = Word(tuple(rng.randint(1, theta.m) for _ in range(u_deg[0])),
-                 tuple(rng.randint(1, theta.n) for _ in range(u_deg[1])))
-        v = Word(tuple(rng.randint(1, theta.m) for _ in range(v_deg[0])),
-                 tuple(rng.randint(1, theta.n) for _ in range(v_deg[1])))
-        t = GenTerm(u, v)
-        acc[t] = acc.get(t, ExactScalar.zero()) + random_coeff(rng)
-    return Element(theta, acc)
-
-
-_PHASES = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+# the fourth roots of unity: torus points and phases that stay Gaussian rational
+FOURTH_ROOTS = [ExactScalar.gaussian(re, im) for re, im in ((1, 0), (-1, 0), (0, 1), (0, -1))]
 
 
 def random_unitary(
@@ -102,7 +86,7 @@ def random_unitary(
     size = len(enumerate_words(theta, degree))
     perm = list(range(size))
     rng.shuffle(perm)
-    phases = [ExactScalar.gaussian(*rng.choice(_PHASES)) for _ in range(size)]
+    phases = [rng.choice(FOURTH_ROOTS) for _ in range(size)]
     return permutation_unitary(theta, degree, perm, phases)
 
 

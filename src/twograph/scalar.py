@@ -50,24 +50,13 @@ def _canon_terms(raw: Iterable[tuple[dict[int, Fraction], Gaussian]]) -> dict[Mo
     acc: dict[Monomial, Gaussian] = {}
     for exps, (re, im) in raw:
         scale = _ONE
-        frac_part: dict[int, Fraction] = {}
-        for p, r in exps.items():
-            if r == 0:
-                continue
+        mono_items = []
+        for p, r in sorted(exps.items()):
             whole = r.numerator // r.denominator  # floor
-            frac = r - whole
             if whole:
                 scale *= Fraction(p) ** whole
-            if frac:
-                frac_part[p] = frac_part.get(p, _ZERO) + frac
-        # summed fractional parts can reach [1, 2); fold once more
-        mono_items = []
-        for p, r in sorted(frac_part.items()):
-            if r >= 1:
-                scale *= p
-                r -= 1
-            if r:
-                mono_items.append((p, r))
+            if r != whole:
+                mono_items.append((p, r - whole))
         mono = tuple(mono_items)
         re, im = re * scale, im * scale
         if re or im:

@@ -28,6 +28,7 @@ from .errors import (
     DegreeTooLarge,
     FlipRequiresSquare,
     IndexOutOfRange,
+    MalformedInput,
     NotABijection,
 )
 
@@ -121,7 +122,7 @@ def parse_word_letters(text: str) -> list[tuple[str, int]]:
     for piece in text.split("."):
         m = _LETTER_RE.match(piece.strip())
         if not m:
-            raise ValueError(f"bad letter {piece!r} in word {text!r}")
+            raise MalformedInput(f"bad letter {piece!r} in word {text!r}")
         out.append((m.group(1), int(m.group(2))))
     return out
 
@@ -169,11 +170,6 @@ class Permutation2D:
     def apply(self, i: int, j: int) -> tuple[int, int]:
         """theta(i, j)."""
         return self.table[(i, j)]
-
-    def apply_inverse(self, i2: int, j2: int) -> tuple[int, int]:
-        """theta^{-1}(i', j'), the direction used when pulling e's left."""
-        idx = self._fwd_flat.index((i2 - 1) * self.n + (j2 - 1))
-        return idx // self.n + 1, idx % self.n + 1
 
     def check_letter(self, kind: str, index: int) -> None:
         bound = self.m if kind == "e" else self.n
@@ -254,11 +250,6 @@ def factor_at(theta: Permutation2D, w: Word, delta: Degree) -> tuple[Word, Word]
         raise DegreeTooLarge(f"cannot take degree {delta} from word of degree {w.degree}")
     e1, f1, e2, f2 = kernel.factor(theta._handle, w.e_block, w.f_block, p, q)
     return Word(e1, f1), Word(e2, f2)
-
-
-def f_first_form(theta: Permutation2D, w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The unique f-first spelling (f-block, e-block) of w."""
-    return kernel.to_f_first(theta._handle, w.e_block, w.f_block)
 
 
 def iter_words(theta: Permutation2D, delta: Degree) -> Iterator[Word]:

@@ -30,7 +30,7 @@ from .algebra import (
     support_degrees,
 )
 from .oracle import GradedActionModel
-from .scalar import ExactScalar
+from .scalar import ExactScalar, power_of_base
 from .semigroup import (
     EMPTY_WORD,
     Degree,
@@ -281,18 +281,12 @@ def algebra_suite(
             failures.append(f"A={a} B={b} delta={delta}")
     report.add("grading-product-rule", samples, failures)
 
-    torus = [
-        ExactScalar.gaussian(1, 0),
-        ExactScalar.gaussian(-1, 0),
-        ExactScalar.gaussian(0, 1),
-        ExactScalar.gaussian(0, -1),
-    ]
     failures = []
     for _ in range(samples):
         a = smp.random_element(rng, theta, level, terms=2)
         b = smp.random_element(rng, theta, level, terms=2)
-        t = (rng.choice(torus), rng.choice(torus))
-        s = (rng.choice(torus), rng.choice(torus))
+        t = (rng.choice(smp.FOURTH_ROOTS), rng.choice(smp.FOURTH_ROOTS))
+        s = (rng.choice(smp.FOURTH_ROOTS), rng.choice(smp.FOURTH_ROOTS))
         ts = (t[0] * s[0], t[1] * s[1])
         ok = (
             (gauge(mul(a, b), t) - mul(gauge(a, t), gauge(b, t))).is_zero()
@@ -367,7 +361,7 @@ def modular_suite(
         sv_star = Element.gen(theta, EMPTY_WORD, v)
         lhs = md.omega(mul(mul(su, x), sv_star))
         expected = (
-            md.omega(x) * _power(theta, degree, -1) if u == v else ExactScalar.zero()
+            md.omega(x) * power_of_base(theta, degree, -1) if u == v else ExactScalar.zero()
         )
         if lhs != expected:
             failures.append(f"u={u} v={v} X={x}: {lhs} vs {expected}")
@@ -381,12 +375,10 @@ def modular_suite(
             failures.append(f"X={x} Y={y}")
     report.add("trace-commutativity-on-core", samples, failures)
 
-    torus = [ExactScalar.gaussian(1, 0), ExactScalar.gaussian(-1, 0),
-             ExactScalar.gaussian(0, 1), ExactScalar.gaussian(0, -1)]
     failures = []
     for _ in range(samples):
         a = smp.random_element(rng, theta, level)
-        t = (rng.choice(torus), rng.choice(torus))
+        t = (rng.choice(smp.FOURTH_ROOTS), rng.choice(smp.FOURTH_ROOTS))
         if md.omega(gauge(a, t)) != md.omega(a):
             failures.append(f"A={a} t={tuple(map(str, t))}")
     report.add("state-gauge-invariance", samples, failures)
@@ -583,15 +575,13 @@ def endo_suite(
         failures.append("associativity of the pair product")
     report.add("pair-product-associative", 1, failures)
 
-    torus = [ExactScalar.gaussian(1, 0), ExactScalar.gaussian(-1, 0),
-             ExactScalar.gaussian(0, 1), ExactScalar.gaussian(0, -1)]
     failures = []
     count = max(1, samples // 10)
     for _ in range(count):
         w = smp.random_unitary(rng, theta)
         pair = en.inner_pair(w)
         lam = en.Endomorphism(pair)
-        t = (rng.choice(torus), rng.choice(torus))
+        t = (rng.choice(smp.FOURTH_ROOTS), rng.choice(smp.FOURTH_ROOTS))
         t_inv = (t[0].conjugate(), t[1].conjugate())
         conjugated = en.UnitaryPair(gauge(pair.U, t), gauge(pair.V, t))
         lam_conj = en.Endomorphism(conjugated)
@@ -706,12 +696,6 @@ def _gallery_cases(theta, rng, samples, report) -> None:
     if not ok:
         failures.append(f"residual={residual}")
     report.add("gallery-ex310-central-scalars", 1, failures)
-
-
-def _power(theta, degree, z):
-    from .scalar import power_of_base
-
-    return power_of_base(theta, degree, z)
 
 
 def run_suite(

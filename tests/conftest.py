@@ -18,7 +18,20 @@ def id22():
     return Permutation2D.identity(2, 2)
 
 
+@pytest.fixture(scope="session")
+def mixed23():
+    """A 2x3 table whose pairs (e_i, f_j) have 2, 0, 1, 0, 2, 1 common
+    extensions, so it mixes the counts that flip (0 or 2) and identity
+    (always 1) keep apart. Same table as perfbench/tables/mixed23.txt."""
+    return Permutation2D(2, 3, {
+        (1, 1): (2, 3), (1, 2): (1, 1), (1, 3): (2, 1),
+        (2, 1): (1, 3), (2, 2): (2, 2), (2, 3): (1, 2),
+    })
+
+
 @pytest.fixture(params=["flip22", "id23"], scope="session")
-def theta(request, flip22, id23):
-    """The two reference tables used throughout the acceptance criteria."""
-    return {"flip22": flip22, "id23": id23}[request.param]
+def theta(request):
+    """The two reference tables used throughout the acceptance criteria;
+    a test that must also hold on `mixed23` names it in an indirect
+    parametrization."""
+    return request.getfixturevalue(request.param)

@@ -5,12 +5,14 @@ float tolerance is stated inline. Each test prints a single PASS line on
 success (visible with -s or in captured output); a failure raises with the
 witness. Random data is seeded, level is (2, 2), samples is 100, and the
 generic criteria run for both reference tables: the flip table with
-m = n = 2 and the identity table with m = 2, n = 3.
+m = n = 2 and the identity table with m = 2, n = 3. The algebra, oracle,
+KMS and canonical-pair criteria also run on the mixed 2x3 table.
 """
 
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from twograph.algebra import (
     Element,
@@ -76,6 +78,7 @@ LEVEL = (2, 2)
 SAMPLES = 100
 SEED = 2026
 HALF = Fraction(1, 2)
+EVERY_TABLE = pytest.mark.parametrize("theta", ["flip22", "id23", "mixed23"], indirect=True)
 
 
 def _report(criterion: str, theta=None):
@@ -86,7 +89,9 @@ def _report(criterion: str, theta=None):
 def theta_label(theta):
     if theta.m == theta.n and theta == Permutation2D.flip(theta.m, theta.n):
         return f"flip({theta.m},{theta.n})"
-    return f"identity({theta.m},{theta.n})"
+    if theta == Permutation2D.identity(theta.m, theta.n):
+        return f"identity({theta.m},{theta.n})"
+    return f"table({theta.m},{theta.n})"
 
 
 def test_c01_semigroup_suite(theta):
@@ -117,6 +122,7 @@ def test_c01_semigroup_suite(theta):
     _report("C01 semigroup-suite", theta_label(theta))
 
 
+@EVERY_TABLE
 def test_c02_algebra_suite(theta):
     """Associativity, unit, involution, raising invariance, product grading."""
     rng = rng_from_seed(SEED + 1)
@@ -155,6 +161,7 @@ def test_c02_algebra_suite(theta):
     _report("C02 algebra-suite", theta_label(theta))
 
 
+@EVERY_TABLE
 def test_c03_product_and_state_against_oracle(theta):
     """Symbolic product and state agree with the graded-action model."""
     model = GradedActionModel(theta, window=6)
@@ -238,6 +245,7 @@ def test_c06_modular_powers_multiplicative(theta):
     _report("C06 modular-multiplicativity", theta_label(theta))
 
 
+@EVERY_TABLE
 def test_c07_kms_and_flow_gauge_agreement(theta):
     """Equilibrium identity exact; real-time flow matches the gauge orbit."""
     rng = rng_from_seed(SEED + 6)
@@ -260,6 +268,7 @@ def test_c07_kms_and_flow_gauge_agreement(theta):
     _report("C07 kms-and-flow-gauge", theta_label(theta))
 
 
+@EVERY_TABLE
 def test_c08_canonical_pairs_and_intertwining(theta):
     """Canonical pairs are twisted, the bijection round-trips, and the
     canonical endomorphisms satisfy their defining intertwining relation."""

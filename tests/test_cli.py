@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, formats, determinism."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -172,3 +173,44 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "kernel" in proc.stdout
+
+
+class TestUsageErrors:
+    """Malformed arguments exit 2 with a one-line message, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("nf", "x1"),
+        ("endo", "apply", "canonical(a,1)", "I"),
+        ("endo", "apply", "pair(I)", "I"),
+    ], ids=["bad-letter", "non-integer-degree", "missing-pair-argument"])
+    def test_exit_code(self, capsys, argv):
+        code = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# sha256 of the stdout of `check all --samples 4 --level 1,1 --seed 0
+# --format records`: a refactor must leave every decision and every record
+# byte unchanged
+CHECK_ALL_DIGESTS = {
+    "flip22": "8bb3422ae59b16efe30b30b20a7c733740b2812d3ff6ebc6edd4d6d040e2fa8e",
+    "id23": "3a9c080e91b2ec99e30327ee54a93b25121e2d98915167dc15325b724a2ba647",
+    "mixed23": "2ecc9059d566f08f80a93d6f14ae5ad55ec24db0370aa0f71c53b7a4c84f7489",
+}
+CHECK_ALL_TABLES = {
+    "flip22": ["--theta", "flip", "--m", "2", "--n", "2"],
+    "id23": ["--theta", "identity", "--m", "2", "--n", "3"],
+    "mixed23": ["--theta", "mixed23.txt"],
+}
+
+
+@pytest.mark.parametrize("table", sorted(CHECK_ALL_DIGESTS))
+def test_check_all_records_are_pinned(table, mixed23, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the table file's path is part of the output
+    (tmp_path / "mixed23.txt").write_text(theta_text(mixed23))
+    code = run_cli("check", "all", *CHECK_ALL_TABLES[table], "--samples", "4",
+                   "--level", "1,1", "--seed", "0", "--format", "records")
+    out = capsys.readouterr().out
+    assert code == 0 and out.endswith("result\tPASS\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_DIGESTS[table]

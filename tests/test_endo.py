@@ -81,8 +81,13 @@ class TestTwistedCheck:
 
     def test_pair_constructor_enforces(self, flip22):
         u = gen(flip22, "e1", "e2") + gen(flip22, "e2", "e1")
-        with pytest.raises(NotTwisted):
+        with pytest.raises(NotTwisted, match="; residual "):
             UnitaryPair(u, Element.unit(flip22))
+
+    def test_pair_constructor_rejects_non_unitary(self, theta):
+        with pytest.raises(NotTwisted) as info:
+            UnitaryPair(gen(theta, "e1", "e1"), Element.unit(theta))
+        assert str(info.value) == "pair is not twisted"
 
 
 class TestCanonicalPairs:

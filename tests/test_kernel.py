@@ -75,3 +75,12 @@ def test_selected_backend_exposed():
     from twograph.kernel import BACKEND
 
     assert BACKEND in ("pure", "cython")
+
+
+def test_star_import_binds_every_public_name():
+    import twograph
+
+    namespace: dict = {}
+    exec("from twograph import *", namespace)
+    assert set(twograph.__all__) <= namespace.keys()
+    assert namespace["KERNEL_BACKEND"] == twograph.KERNEL_BACKEND

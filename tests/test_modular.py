@@ -3,11 +3,9 @@
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from twograph.algebra import Element, gauge, gauge_float, mul
 from twograph.modular import (
-    ModularContext,
     flow_fixed_degree,
     gram_matrix,
     gram_matrix_float,
@@ -284,11 +282,3 @@ class TestFlowFixedDegree:
     def test_coprime_counts(self, id23):
         assert not flow_fixed_degree(id23, (1, -1))
 
-
-def test_context_bundles_operations(id23):
-    ctx = ModularContext(id23, float_tolerance=1e-10)
-    assert ctx.omega(Element.unit(id23)) == ExactScalar.one()
-    assert len(ctx.spectrum_window(1)) == 9
-    assert ctx.fixed_degree((0, 0))
-    with pytest.raises(ValueError):
-        ModularContext(id23, float_tolerance=-1.0)

@@ -170,6 +170,13 @@ class TestCommonExtensions:
     def test_orthogonal(self, theta):
         assert common_extensions(theta, word(theta, "e1"), word(theta, "e2")) == []
 
+    def test_mixed_table_profile(self, mixed23):
+        counts = [
+            len(common_extensions(mixed23, word(mixed23, f"e{i}"), word(mixed23, f"f{j}")))
+            for i in (1, 2) for j in (1, 2, 3)
+        ]
+        assert counts == [2, 0, 1, 0, 2, 1]
+
     def test_isometry_cancellation(self, id23):
         got = common_extensions(id23, word(id23, "e1.f1"), word(id23, "e1"))
         assert [(str(a), str(b)) for a, b in got] == [("f1", "id")]
