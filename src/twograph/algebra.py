@@ -21,7 +21,7 @@ canonical difference.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import NotAPermutation, NotUnitModulus, ThetaMismatch
 from .scalar import ExactScalar
@@ -39,25 +39,13 @@ from .semigroup import (
 )
 
 
-class GenTerm:
-    """The standard generator s_u s_v*; hash precomputed (hot dict key)."""
+class GenTerm(NamedTuple):
+    """The standard generator s_u s_v*: an immutable pair of words whose
+    equality and hash are the tuple's, computed on demand (a hot dict key;
+    no hash is stored)."""
 
-    __slots__ = ("u", "v", "_hash")
-
-    def __init__(self, u: Word, v: Word):
-        self.u = u
-        self.v = v
-        self._hash = hash((u, v))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, GenTerm):
-            return NotImplemented
-        return self.u == other.u and self.v == other.v
-
-    def __hash__(self) -> int:
-        return self._hash
+    u: Word
+    v: Word
 
     @property
     def degree(self) -> Degree:

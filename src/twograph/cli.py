@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import endo as en
@@ -34,17 +33,6 @@ from .suites import SUITE_NAMES, run_suite
 MAX_LEVEL = (3, 3)
 
 
-@dataclass
-class SessionConfig:
-    theta: Permutation2D
-    theta_label: str
-    seed: int
-    level: Degree
-    samples: int
-    float_tol: float
-    fmt: str
-
-
 class _Output:
     def __init__(self, fmt: str):
         self.fmt = fmt
@@ -54,10 +42,6 @@ class _Output:
             print(f"{key}\t{value}")
         else:
             print(f"{key}: {value}")
-
-    def line(self, text: str) -> None:
-        if self.fmt == "text":
-            print(text)
 
 
 def _parse_level(text: str) -> Degree:
@@ -119,29 +103,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> SessionConfig:
+def _load_config(args) -> Permutation2D:
+    """Validate the common flags and return the table."""
     if args.theta in ("identity", "flip"):
         theta = make_theta(args.m, args.n, args.theta)
-        label = args.theta
     else:
         # a table file fixes m and n itself; the flags are ignored
         theta = parse_theta_text(Path(args.theta).read_text())
-        label = args.theta
     if not (args.level[0] >= 0 and args.level[1] >= 0):
         raise TwoGraphError("level components must be nonnegative")
     if args.level[0] > MAX_LEVEL[0] or args.level[1] > MAX_LEVEL[1]:
         raise TwoGraphError(f"level capped at {MAX_LEVEL} for cost control")
     if args.samples < 1:
         raise TwoGraphError("samples must be >= 1")
-    return SessionConfig(
-        theta=theta,
-        theta_label=label,
-        seed=args.seed,
-        level=args.level,
-        samples=args.samples,
-        float_tol=args.float_tol,
-        fmt=args.format,
-    )
+    return theta
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -191,20 +166,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args)
+        theta = _load_config(args)
     except (TwoGraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = _Output(cfg.fmt)
     try:
-        return _dispatch(args, cfg, out)
+        return _dispatch(args, theta, _Output(args.format))
     except TwoGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _dispatch(args, cfg: SessionConfig, out: _Output) -> int:
-    theta = cfg.theta
+def _dispatch(args, theta: Permutation2D, out: _Output) -> int:
     cmd = args.command
 
     if cmd == "backend":
@@ -273,21 +246,21 @@ def _dispatch(args, cfg: SessionConfig, out: _Output) -> int:
         return 0
 
     if cmd == "oracle":
-        model = GradedActionModel(theta, window=max(cfg.level) + 4)
+        model = GradedActionModel(theta, window=max(args.level) + 4)
         equal = model.oracle_equal(parse_expression(args.left, theta),
                                    parse_expression(args.right, theta))
         out.kv("equal", "true" if equal else "false")
         return 0 if equal else 1
 
     if cmd == "check":
-        reports = run_suite(args.suite, theta, cfg.seed, cfg.level,
-                            cfg.samples, cfg.float_tol)
-        out.kv("theta", cfg.theta_label)
+        reports = run_suite(args.suite, theta, args.seed, args.level,
+                            args.samples, args.float_tol)
+        out.kv("theta", args.theta)
         out.kv("m", theta.m)
         out.kv("n", theta.n)
-        out.kv("seed", cfg.seed)
-        out.kv("level", f"{cfg.level[0]},{cfg.level[1]}")
-        out.kv("samples", cfg.samples)
+        out.kv("seed", args.seed)
+        out.kv("level", f"{args.level[0]},{args.level[1]}")
+        out.kv("samples", args.samples)
         all_passed = True
         for report in reports:
             for case in report.cases:

@@ -8,7 +8,11 @@ where shift_e and shift_f are the canonical endomorphisms of multidegree
 
 extends to a unital endomorphism; the inverse direction recovers the pair
 from the generator images as (sum lam(s_{e_i}) s_{e_i}*,
-sum lam(s_{f_j}) s_{f_j}*). The derived unitary W = U shift_e(V) determines
+sum lam(s_{f_j}) s_{f_j}*). The canonical endomorphisms act termwise by
+
+    s_w s_u s_v* s_w* = s_{wu} s_{wv}*,
+
+with no element product. The derived unitary W = U shift_e(V) determines
 the action on all words of degree (1, 1) (lam(s_w) = W s_w) and is cached
 on the pair. Composition multiplies pairs by
 (U2, V2) . (U1, V1) = (lam2(U1) U2, lam2(V1) V2), and conjugation by a
@@ -22,28 +26,41 @@ diagonal) and are necessary conditions for the full statements.
 from __future__ import annotations
 
 from .algebra import Element, GenTerm, is_unitary, mul, permutation_unitary
-from .errors import NotTwisted, NotUnitary, RelationsViolated, ThetaMismatch, WrongTheta
+from .errors import (
+    MalformedInput,
+    NotTwisted,
+    NotUnitary,
+    RelationsViolated,
+    ThetaMismatch,
+    WrongTheta,
+)
 from .scalar import ExactScalar
 from .semigroup import (
     EMPTY_WORD,
+    Degree,
     Permutation2D,
     Word,
     concat,
     enumerate_words,
-    factor_at,
+    make_theta,
 )
 
 
 def canonical_endomorphism_apply(theta: Permutation2D, p: int, q: int, x: Element) -> Element:
     """The canonical endomorphism of multidegree (p, q):
-    X -> sum over d(w) = (p, q) of s_w X s_w*."""
+    X -> sum over d(w) = (p, q) of s_w X s_w*.
+
+    Each term maps to s_w s_u s_v* s_w* = s_{wu} s_{wv}*. By unique
+    factorization the images of distinct (w, term) are distinct, so the
+    coefficients are copied without merging.
+    """
     if x.theta != theta:
         raise ThetaMismatch("element lives over a different table")
-    acc = Element.zero(theta)
+    acc: dict[GenTerm, ExactScalar] = {}
     for w in enumerate_words(theta, (p, q)):
-        sw = Element.gen(theta, w, EMPTY_WORD)
-        acc = acc + mul(mul(sw, x), sw.adjoint())
-    return acc.canonicalize()
+        for t, c in x._terms.items():
+            acc[GenTerm(concat(theta, w, t.u), concat(theta, w, t.v))] = c
+    return Element(theta, acc).canonicalize()
 
 
 def shift_e(x: Element) -> Element:
@@ -87,14 +104,11 @@ class UnitaryPair:
 
     __slots__ = ("theta", "U", "V", "W")
 
-    def __init__(self, u: Element, v: Element, check: bool = True):
+    def __init__(self, u: Element, v: Element):
         u._require_same_theta(v)
         self.theta = u.theta
         self.U = u.canonicalize()
         self.V = v.canonicalize()
-        if not check:
-            self.W = mul(u, shift_e(v))
-            return
         twist = _twist(u, v)
         if twist is None:
             raise NotTwisted("pair is not twisted")
@@ -105,7 +119,7 @@ class UnitaryPair:
     @classmethod
     def identity(cls, theta: Permutation2D) -> "UnitaryPair":
         one = Element.unit(theta)
-        return cls(one, one, check=False)
+        return cls(one, one)
 
     def equals(self, other: "UnitaryPair") -> bool:
         return self.U == other.U and self.V == other.V
@@ -119,8 +133,8 @@ class Endomorphism:
 
     Word images are built from the cached letter images and memoized; the
     action on a generator is lam(s_u) lam(s_v)*. Well-definedness over the
-    choice of spelling is guaranteed by the twisted property and asserted
-    once on a mixed word at construction.
+    choice of spelling is guaranteed by the twisted property, which
+    `UnitaryPair` decides before any pair reaches this class.
     """
 
     __slots__ = ("pair", "theta", "_e_images", "_f_images", "_word_cache")
@@ -138,16 +152,6 @@ class Endomorphism:
             for j in range(1, theta.n + 1)
         }
         self._word_cache: dict[Word, Element] = {EMPTY_WORD: Element.unit(theta)}
-        self._assert_well_defined()
-
-    def _assert_well_defined(self) -> None:
-        theta = self.theta
-        mixed = Word((1,), (1,))
-        e_first = mul(self._e_images[1], self._f_images[1])
-        head, tail = factor_at(theta, mixed, (0, 1))
-        f_first = mul(self._f_images[head.f_block[0]], self._e_images[tail.e_block[0]])
-        if not (e_first - f_first).is_zero():
-            raise RelationsViolated("generator images break the commutation relations")
 
     @classmethod
     def identity(cls, theta: Permutation2D) -> "Endomorphism":
@@ -290,7 +294,7 @@ def ad_product_check(endo: Endomorphism, k: int) -> bool:
     with conjugation by the cascade unitary on every generator with
     d(u) = d(v) = (k, k)."""
     if k < 1:
-        raise ValueError("level must be >= 1")
+        raise MalformedInput("level must be >= 1")
     theta = endo.theta
     p = _cascade_unitary(endo, k)
     p_star = p.adjoint()
@@ -310,7 +314,7 @@ def preserves_subalgebra(endo: Endomorphism, which: str, k: int) -> bool:
     diagonal ("diagonal"): checks membership of the image of every spanning
     generator at level k."""
     if k < 1:
-        raise ValueError("level must be >= 1")
+        raise MalformedInput("level must be >= 1")
     from .algebra import in_subalgebra
 
     theta = endo.theta
@@ -357,7 +361,7 @@ def gallery(theta: Permutation2D, name: str, u: Element | None = None, v: Elemen
         _require(theta.m == theta.n, "ex39 needs m = n")
         _require(theta == Permutation2D.flip(theta.m, theta.n), "ex39 needs the flip table")
         if u is None:
-            u = _default_flipflop_e(theta)
+            u = _default_flipflop(theta, (1, 0))
         if not is_unitary(u):
             raise NotUnitary("supplied element is not unitary")
         return UnitaryPair(u, u)
@@ -371,23 +375,19 @@ def gallery(theta: Permutation2D, name: str, u: Element | None = None, v: Elemen
     if name == "ex311":
         _require(theta == Permutation2D.identity(theta.m, theta.n), "ex311 needs the identity table")
         if u is None:
-            u = _default_flipflop_e(theta)
+            u = _default_flipflop(theta, (1, 0))
         if v is None:
-            v = _default_flipflop_f(theta)
+            v = _default_flipflop(theta, (0, 1))
         _require(all(not t.u.f_block and not t.v.f_block for t in u._terms),
                  "ex311 needs U in the e-generated subalgebra")
         _require(all(not t.u.e_block and not t.v.e_block for t in v._terms),
                  "ex311 needs V in the f-generated subalgebra")
         _check_commuting_hypotheses(theta, u, v)
         return UnitaryPair(u, v)
-    if name == "ex312":
-        _require(theta.m == theta.n, "ex312 needs m = n")
-        _require(theta == Permutation2D.flip(theta.m, theta.n), "ex312 needs the flip table")
-        w = _mixing_unitary(theta)
-        return UnitaryPair(w, w.adjoint())
-    if name == "ex313":
-        _require(theta.m == theta.n, "ex313 needs m = n")
-        _require(theta == Permutation2D.identity(theta.m, theta.n), "ex313 needs the identity table")
+    if name in ("ex312", "ex313"):
+        table = "flip" if name == "ex312" else "identity"
+        _require(theta.m == theta.n, f"{name} needs m = n")
+        _require(theta == make_theta(theta.m, theta.n, table), f"{name} needs the {table} table")
         w = _mixing_unitary(theta)
         return UnitaryPair(w, w.adjoint())
     raise WrongTheta(f"unknown gallery name {name!r}")
@@ -398,18 +398,13 @@ def _require(cond: bool, message: str) -> None:
         raise WrongTheta(message)
 
 
-def _default_flipflop_e(theta: Permutation2D) -> Element:
-    _require(theta.m >= 2, "default flip-flop needs at least two e-generators")
-    perm = list(range(theta.m))
+def _default_flipflop(theta: Permutation2D, delta: Degree) -> Element:
+    """Swap the first two generators of degree delta, (1, 0) or (0, 1)."""
+    kind, size = ("e", theta.m) if delta == (1, 0) else ("f", theta.n)
+    _require(size >= 2, f"default flip-flop needs at least two {kind}-generators")
+    perm = list(range(size))
     perm[0], perm[1] = perm[1], perm[0]
-    return permutation_unitary(theta, (1, 0), perm)
-
-
-def _default_flipflop_f(theta: Permutation2D) -> Element:
-    _require(theta.n >= 2, "default flip-flop needs at least two f-generators")
-    perm = list(range(theta.n))
-    perm[0], perm[1] = perm[1], perm[0]
-    return permutation_unitary(theta, (0, 1), perm)
+    return permutation_unitary(theta, delta, perm)
 
 
 def _check_commuting_hypotheses(theta: Permutation2D, u: Element, v: Element) -> None:

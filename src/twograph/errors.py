@@ -54,8 +54,9 @@ class OutOfWindow(TwoGraphError):
 
 
 class MalformedInput(TwoGraphError, ValueError):
-    """Malformed word or pair-spec text; also a ValueError for callers that
-    catch one."""
+    """Malformed word or pair-spec text, or an argument out of its range
+    (a negative window, a level below 1); also a ValueError for callers
+    that catch one."""
 
 
 class ExpressionSyntaxError(TwoGraphError):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .algebra import Element
 from .errors import ExpressionSyntaxError
 from .scalar import ExactScalar
-from .semigroup import Permutation2D, Word, normal_form
+from .semigroup import _LETTER_RE, Permutation2D, Word, normal_form
 
 
 _TOKEN_RE = re.compile(
@@ -194,7 +194,7 @@ class _Parser:
 
     @staticmethod
     def parse_letter(text: str, pos: int) -> tuple[str, int]:
-        match = re.fullmatch(r"([ef])([1-9][0-9]*)", text)
+        match = _LETTER_RE.match(text)
         if not match:
             raise ExpressionSyntaxError(f"bad letter {text!r}", pos)
         return match.group(1), int(match.group(2))
@@ -212,8 +212,7 @@ def parse_expression(src: str, theta: Permutation2D) -> Element:
 
 def parse_scalar(src: str, theta: Permutation2D) -> ExactScalar:
     """Parse a scalar literal (an expression proportional to the unit)."""
-    element = parse_expression(src, theta)
-    canon = element.canonicalize()
+    canon = parse_expression(src, theta)
     if canon.is_empty:
         return ExactScalar.zero()
     terms = canon.terms()

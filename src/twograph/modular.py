@@ -27,6 +27,7 @@ import math
 from fractions import Fraction
 
 from .algebra import Element, GenTerm, mul
+from .errors import MalformedInput
 from .scalar import ExactScalar, power_of_base
 from .semigroup import Degree, Permutation2D
 
@@ -146,7 +147,7 @@ def modular_spectrum_window(theta: Permutation2D, window: int) -> list[ExactScal
     sorted by numeric value. A finite shadow of the modular spectrum; no
     closure claim is made."""
     if window < 0:
-        raise ValueError("window must be nonnegative")
+        raise MalformedInput("window must be nonnegative")
     seen: dict[ExactScalar, float] = {}
     for a in range(-window, window + 1):
         for b in range(-window, window + 1):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import kernel
 from .errors import (
@@ -53,29 +53,16 @@ def deg_le(a: Degree, b: Degree) -> bool:
     return a[0] <= b[0] and a[1] <= b[1]
 
 
-class Word:
+class Word(NamedTuple):
     """A semigroup element in canonical e-first spelling.
 
-    Instances are immutable by convention; the hash is precomputed since
-    words are dictionary keys in every algebra operation.
+    Immutable as a tuple of its two blocks. Equality and hash are the
+    tuple's, computed on demand (no hash is stored); words are dictionary
+    keys in every algebra operation.
     """
 
-    __slots__ = ("e_block", "f_block", "_hash")
-
-    def __init__(self, e_block: tuple[int, ...] = (), f_block: tuple[int, ...] = ()):
-        self.e_block = e_block
-        self.f_block = f_block
-        self._hash = hash((e_block, f_block))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.e_block == other.e_block and self.f_block == other.f_block
-
-    def __hash__(self) -> int:
-        return self._hash
+    e_block: tuple[int, ...] = ()
+    f_block: tuple[int, ...] = ()
 
     @property
     def degree(self) -> Degree:

@@ -182,7 +182,8 @@ class TestUsageErrors:
         ("nf", "x1"),
         ("endo", "apply", "canonical(a,1)", "I"),
         ("endo", "apply", "pair(I)", "I"),
-    ], ids=["bad-letter", "non-integer-degree", "missing-pair-argument"])
+        ("spectrum", "-1"),
+    ], ids=["bad-letter", "non-integer-degree", "missing-pair-argument", "negative-window"])
     def test_exit_code(self, capsys, argv):
         code = run_cli(*argv)
         err = capsys.readouterr().err

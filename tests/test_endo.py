@@ -36,7 +36,29 @@ def generator_isometries(theta):
     return out
 
 
+def conjugation_sum(theta, p, q, x):
+    """The product definition: sum over d(w) = (p, q) of s_w x s_w*."""
+    acc = Element.zero(theta)
+    for w in enumerate_words(theta, (p, q)):
+        sw = Element.gen(theta, w, EMPTY_WORD)
+        acc = acc + mul(mul(sw, x), sw.adjoint())
+    return acc.canonicalize()
+
+
 class TestCanonicalEndomorphismApply:
+    @pytest.mark.parametrize("theta", ["flip22", "id23", "mixed23"], indirect=True)
+    @pytest.mark.parametrize("pq", [(1, 0), (0, 1), (1, 1), (2, 1)])
+    def test_matches_product_definition(self, theta, pq):
+        # degree difference (1, 0) at v-degrees (0, 0), (1, 0) and (0, 1):
+        # the final canonicalize has to raise all three terms to (1, 1)
+        mixed = (gen(theta, "e1", "id") + gen(theta, "e1.e2", "e2").scaled(2)
+                 + gen(theta, "e2.f1", "f2").scaled(ExactScalar.imag_unit()))
+        assert len(mixed.canonicalize()) > len(mixed)
+        rng = rng_from_seed(63)
+        for x in [mixed] + [random_element(rng, theta, (1, 1)) for _ in range(3)]:
+            got = canonical_endomorphism_apply(theta, *pq, x)
+            assert got.terms() == conjugation_sum(theta, *pq, x).terms()
+
     def test_zero_degree_is_identity(self, theta):
         rng = rng_from_seed(60)
         x = random_element(rng, theta, (2, 2))
