@@ -2,8 +2,9 @@
 
 Letters are signed ints: e_i is +i, f_j is -j (1-based). A commutation
 table is prepared once into a flat handle; all functions here are pure and
-operate on plain int tuples so the compiled twin (`_kernel_cy`) can mirror
-them exactly.
+operate on plain int tuples. The compiled twin (`_kernel_cy`) returns the
+same results; `common_ext` here decides a pair of comparable degrees with
+one factorization, where the twin enumerates the candidates.
 
 Encoding of the table: index (i-1)*n + (j-1) holds (i'-1)*n + (j'-1),
 meaning the pair e_i f_j rewrites to f_{j'} e_{i'}. The inverse table is
@@ -97,10 +98,20 @@ def common_ext(tables, eu, fu, ev, fv):
     """All (w1, w2) with v*w1 == u*w2 at the join degree of u and v.
 
     Returned as tuples (w1e, w1f, w2e, w2f) in lexicographic order of w1.
+    If d(v) <= d(u), unique factorization leaves at most one pair: w2 is
+    empty and v*w1 == u exactly when u splits at d(v) into (v, w1). One
+    `factor` of u decides it, and symmetrically one of v if d(u) <= d(v).
+    Only incomparable degrees enumerate the candidates w1.
     """
-    m, n, _, _ = tables
     au, bu = len(eu), len(fu)
     av, bv = len(ev), len(fv)
+    if av <= au and bv <= bu:
+        pe, pf, re_, rf = factor(tables, eu, fu, av, bv)
+        return [(re_, rf, (), ())] if pe == ev and pf == fv else []
+    if au <= av and bu <= bv:
+        pe, pf, re_, rf = factor(tables, ev, fv, au, bu)
+        return [((), (), re_, rf)] if pe == eu and pf == fu else []
+    m, n, _, _ = tables
     da = max(au, av) - av
     db = max(bu, bv) - bv
     out = []

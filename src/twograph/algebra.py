@@ -253,13 +253,18 @@ def mul(a: Element, b: Element) -> Element:
     a._require_same_theta(b)
     theta = a.theta
     acc: dict[GenTerm, ExactScalar] = {}
+    right = [(t2.u, t2.v, c2) for t2, c2 in b._terms.items()]
     for t1, c1 in a._terms.items():
-        for t2, c2 in b._terms.items():
+        for u2, v2, c2 in right:
+            # most pairs do not meet: multiply the coefficients only when they do
+            exts = _common_extensions_cached(theta, u2, t1.v)
+            if not exts:
+                continue
             c = c1 * c2
-            for w1, w2 in _common_extensions_cached(theta, t2.u, t1.v):
+            for w1, w2 in exts:
                 _accumulate(
                     acc,
-                    GenTerm(concat(theta, t1.u, w1), concat(theta, t2.v, w2)),
+                    GenTerm(concat(theta, t1.u, w1), concat(theta, v2, w2)),
                     c,
                 )
     return Element(theta, acc).canonicalize()

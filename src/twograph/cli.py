@@ -9,6 +9,7 @@ identical (theta, seed, level, samples) configurations.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -116,6 +117,8 @@ def _load_config(args) -> Permutation2D:
         raise TwoGraphError(f"level capped at {MAX_LEVEL} for cost control")
     if args.samples < 1:
         raise TwoGraphError("samples must be >= 1")
+    if not (math.isfinite(args.float_tol) and args.float_tol > 0):
+        raise TwoGraphError("float-tol must be finite and > 0")
     return theta
 
 

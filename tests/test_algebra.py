@@ -37,6 +37,23 @@ class TestMul:
         got = mul(gen(flip22, "id", "f1"), gen(flip22, "e1", "id"))
         assert got == gen(flip22, "e1", "f1") + gen(flip22, "e2", "f2")
 
+    def test_multiplies_only_pairs_that_meet(self, theta, monkeypatch):
+        # s_e1 s_e1* s_e1 = s_e1 meets; s_e2 s_e2* s_e1 = 0 does not
+        a = gen(theta, "e1", "e1") + gen(theta, "e2", "e2")
+        b = gen(theta, "e1", "id")
+        original = ExactScalar.__mul__
+        calls = []
+
+        def counting_mul(x, y):
+            calls.append((x, y))
+            return original(x, y)
+
+        monkeypatch.setattr(ExactScalar, "__mul__", counting_mul)
+        product = mul(a, b)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert product == b
+
     def test_theta_mismatch(self, flip22, id22):
         with pytest.raises(ThetaMismatch):
             mul(Element.unit(flip22), Element.unit(id22))

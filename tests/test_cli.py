@@ -183,7 +183,12 @@ class TestUsageErrors:
         ("endo", "apply", "canonical(a,1)", "I"),
         ("endo", "apply", "pair(I)", "I"),
         ("spectrum", "-1"),
-    ], ids=["bad-letter", "non-integer-degree", "missing-pair-argument", "negative-window"])
+        ("kms", "S[e1;id]", "S[e1;id]", "--float-tol", "nan"),
+        ("kms", "S[e1;id]", "S[e1;id]", "--float-tol", "inf"),
+        ("kms", "S[e1;id]", "S[e1;id]", "--float-tol", "-1"),
+        ("kms", "S[e1;id]", "S[e1;id]", "--float-tol", "0"),
+    ], ids=["bad-letter", "non-integer-degree", "missing-pair-argument", "negative-window",
+            "nan-tolerance", "infinite-tolerance", "negative-tolerance", "zero-tolerance"])
     def test_exit_code(self, capsys, argv):
         code = run_cli(*argv)
         err = capsys.readouterr().err

@@ -1,6 +1,8 @@
-"""Backend parity: the compiled kernel must agree with the pure one."""
+"""The word kernel: `common_ext` against a brute force on random tables, and
+backend parity (the compiled kernel must agree with the pure one)."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +71,69 @@ def test_common_ext_parity(data):
     eu, fu = kpy.normalize(hp, letters[:5])
     ev, fv = kpy.normalize(hp, letters[5:])
     assert kpy.common_ext(hp, eu, fu, ev, fv) == kcy.common_ext(hc, eu, fu, ev, fv)
+
+
+def brute_force_common_ext(tables, eu, fu, ev, fv):
+    """Every word z at the join degree that splits as v*w1 and as u*w2,
+    found with `factor` alone, as (w1, w2) in lexicographic order of w1."""
+    m, n, _, _ = tables
+    au, bu, av, bv = len(eu), len(fu), len(ev), len(fv)
+    out = []
+    for ze in product(range(1, m + 1), repeat=max(au, av)):
+        for zf in product(range(1, n + 1), repeat=max(bu, bv)):
+            pve, pvf, w1e, w1f = kpy.factor(tables, ze, zf, av, bv)
+            pue, puf, w2e, w2f = kpy.factor(tables, ze, zf, au, bu)
+            if (pve, pvf) == (ev, fv) and (pue, puf) == (eu, fu):
+                out.append((w1e, w1f, w2e, w2f))
+    return sorted(out)
+
+
+# how d(u) and d(v) compare: the first three and "empty" take the
+# one-factorization branches of `common_ext`, "incomparable" the enumeration
+SHAPES = ("v-below-u", "u-below-v", "equal", "empty", "incomparable")
+
+
+@st.composite
+def table_and_word_pair(draw, shape):
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    tables = kpy.prepare(m, n, random_table(random.Random(draw(st.integers(0, 2**32))), m, n))
+    small = st.integers(0, 2)
+    lo = (draw(small), draw(small))
+    if shape in ("v-below-u", "u-below-v"):
+        step = draw(st.sampled_from([(0, 1), (1, 0), (1, 1)]))
+        hi = (lo[0] + step[0], lo[1] + step[1])
+        du, dv = (hi, lo) if shape == "v-below-u" else (lo, hi)
+    elif shape == "equal":
+        du = dv = lo
+    elif shape == "empty":
+        du, dv = lo, (0, 0)
+    else:
+        a, b = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        du, dv = (a, b + 1 + draw(st.integers(0, 1))), (a + 1 + draw(st.integers(0, 1)), b)
+    if shape in ("empty", "incomparable") and draw(st.booleans()):
+        du, dv = dv, du
+
+    def letters(k, top):
+        return tuple(draw(st.lists(st.integers(1, top), min_size=k, max_size=k)))
+
+    if draw(st.booleans()):
+        # u and v both prefixes of one word z, so they have a common extension
+        ze, zf = letters(max(du[0], dv[0]), m), letters(max(du[1], dv[1]), n)
+        eu, fu = kpy.factor(tables, ze, zf, *du)[:2]
+        ev, fv = kpy.factor(tables, ze, zf, *dv)[:2]
+    else:
+        eu, fu, ev, fv = letters(du[0], m), letters(du[1], n), letters(dv[0], m), letters(dv[1], n)
+    return tables, eu, fu, ev, fv
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_common_ext_matches_brute_force(shape, data):
+    tables, eu, fu, ev, fv = data.draw(table_and_word_pair(shape))
+    expected = brute_force_common_ext(tables, eu, fu, ev, fv)
+    assert kpy.common_ext(tables, eu, fu, ev, fv) == expected
 
 
 def test_selected_backend_exposed():

@@ -28,3 +28,18 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert (algebra.mul, semigroup.concat, endo.Endomorphism.apply) == originals
     assert endo.mul is algebra.mul
+
+
+def test_tracer_counts_pairs_that_meet(id23):
+    """`algebra.mul.pairs_matched` counts through the module-level name
+    `algebra._common_extensions_cached`; binding the cache anywhere the
+    tracer cannot rebind it would leave the metric at 0."""
+    a = algebra.Element.gen(id23, semigroup.word(id23, "id"), semigroup.word(id23, "e1"))
+    b = algebra.Element.gen(id23, semigroup.word(id23, "e1"), semigroup.word(id23, "id"))
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install()
+        algebra.mul(a, b)
+    finally:
+        tracer.uninstall()
+    assert tracer.count("algebra.mul.pairs_matched") >= 1
