@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 on success / all checks passing, 1 on a failed check, 2 on
-usage or expression errors. With --format records the output is
-line-oriented `key<TAB>value` pairs; reports are byte-identical for
-identical (theta, seed, level, samples) configurations.
+usage or expression errors, each reported as one `error:` line on stderr.
+With --format records the output is line-oriented `key<TAB>value` pairs;
+reports are byte-identical for identical (theta, seed, level, samples)
+configurations.
 """
 
 from __future__ import annotations
@@ -45,6 +46,16 @@ class _Output:
             print(f"{key}: {value}")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line, like every other usage
+    error, instead of a usage block; subparsers inherit it as their
+    `parser_class`."""
+
+    def error(self, message: str):
+        sys.stderr.write(f"error: {message}\n")
+        raise SystemExit(2)
+
+
 def _parse_level(text: str) -> Degree:
     try:
         a, b = (int(x) for x in text.split(","))
@@ -54,7 +65,7 @@ def _parse_level(text: str) -> Degree:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="twograph",
         description="Exact computations in the generator algebra of a "
                     "single-vertex 2-graph.",

@@ -196,6 +196,20 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("argv", [
+        ("check", "everything"),
+        ("kms", "S[e1;id]", "S[e1;id]", "--float-tol", "abc"),
+        ("nf", "e1", "--level", "x"),
+        (),
+    ], ids=["unknown-suite", "non-float-tolerance", "malformed-level", "missing-command"])
+    def test_argparse_error_is_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            run_cli(*argv)
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # sha256 of the stdout of `check all --samples 4 --level 1,1 --seed 0
 # --format records`: a refactor must leave every decision and every record
 # byte unchanged

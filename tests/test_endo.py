@@ -5,6 +5,7 @@ import pytest
 from twograph.algebra import Element, gauge, mul
 from twograph.endo import (
     Endomorphism,
+    _cascade_unitary,
     UnitaryPair,
     ad_product_check,
     automorphism_witness_check,
@@ -266,7 +267,72 @@ class TestWitnessCheck:
         assert not automorphism_witness_check(lam, one, one)
 
 
+def count_apply(monkeypatch):
+    """Record every `Endomorphism.apply` call, subclasses included."""
+    calls = []
+    original = Endomorphism.apply
+
+    def counting(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(Endomorphism, "apply", counting)
+    return calls
+
+
+class PhasedImages(Endomorphism):
+    """Word images of a separate genuine endomorphism times i. The phase
+    cancels in lam(s_u) lam(s_v)*, so the cascade identity holds on every
+    generator while lam(s_u) = P s_u fails for every word. (Scaling inside
+    the recursion would compound the phase to i^len, which cancels at
+    length 4.)"""
+
+    def __init__(self, pair):
+        super().__init__(pair)
+        self.genuine = Endomorphism(pair)
+
+    def word_image(self, w):
+        return self.genuine.word_image(w).scaled(ExactScalar.imag_unit())
+
+
+class NegatedImage(Endomorphism):
+    """A genuine endomorphism's word images with one of them negated."""
+
+    def __init__(self, pair, negated):
+        super().__init__(pair)
+        self.genuine = Endomorphism(pair)
+        self.negated = negated
+
+    def word_image(self, w):
+        img = self.genuine.word_image(w)
+        return -img if w == self.negated else img
+
+
 class TestAdProductCheck:
+    @pytest.mark.parametrize("theta", ["flip22", "id23", "mixed23"], indirect=True)
+    def test_pair_endomorphisms_need_no_generator_products(self, theta, monkeypatch):
+        calls = count_apply(monkeypatch)
+        assert ad_product_check(canonical_endomorphism(theta, 1, 1), 2)
+        assert ad_product_check(Endomorphism.identity(theta), 2)
+        assert calls == []
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_phase_falls_back_to_every_generator(self, theta, k, monkeypatch):
+        pair = canonical_pair(theta, 1, 0)
+        lam = PhasedImages(pair)
+        words = enumerate_words(theta, (k, k))
+        p = _cascade_unitary(lam, k)
+        assert lam.word_image(words[0]) != mul(p, Element.gen(theta, words[0], EMPTY_WORD))
+        calls = count_apply(monkeypatch)
+        assert ad_product_check(lam, k)
+        assert len(calls) == len(words) ** 2
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_negated_word_image_fails(self, theta, k):
+        words = enumerate_words(theta, (k, k))
+        lam = NegatedImage(canonical_pair(theta, 1, 0), words[-1])
+        assert not ad_product_check(lam, k)
+
     def test_identity_all_levels(self, theta):
         lam = Endomorphism.identity(theta)
         assert ad_product_check(lam, 1) and ad_product_check(lam, 2)
