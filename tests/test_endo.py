@@ -5,7 +5,6 @@ import pytest
 from twograph.algebra import Element, gauge, mul
 from twograph.endo import (
     Endomorphism,
-    _cascade_unitary,
     UnitaryPair,
     ad_product_check,
     automorphism_witness_check,
@@ -280,21 +279,6 @@ def count_apply(monkeypatch):
     return calls
 
 
-class PhasedImages(Endomorphism):
-    """Word images of a separate genuine endomorphism times i. The phase
-    cancels in lam(s_u) lam(s_v)*, so the cascade identity holds on every
-    generator while lam(s_u) = P s_u fails for every word. (Scaling inside
-    the recursion would compound the phase to i^len, which cancels at
-    length 4.)"""
-
-    def __init__(self, pair):
-        super().__init__(pair)
-        self.genuine = Endomorphism(pair)
-
-    def word_image(self, w):
-        return self.genuine.word_image(w).scaled(ExactScalar.imag_unit())
-
-
 class NegatedImage(Endomorphism):
     """A genuine endomorphism's word images with one of them negated."""
 
@@ -310,22 +294,14 @@ class NegatedImage(Endomorphism):
 
 class TestAdProductCheck:
     @pytest.mark.parametrize("theta", ["flip22", "id23", "mixed23"], indirect=True)
-    def test_pair_endomorphisms_need_no_generator_products(self, theta, monkeypatch):
+    def test_pair_endomorphisms_need_no_generator_products(self, theta, flip22, monkeypatch):
+        lams = [canonical_endomorphism(theta, 1, 1), Endomorphism.identity(theta)]
+        if theta == flip22:
+            lams.append(Endomorphism(gallery(flip22, "ex312")))
         calls = count_apply(monkeypatch)
-        assert ad_product_check(canonical_endomorphism(theta, 1, 1), 2)
-        assert ad_product_check(Endomorphism.identity(theta), 2)
+        for lam in lams:
+            assert ad_product_check(lam, 2)
         assert calls == []
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_phase_falls_back_to_every_generator(self, theta, k, monkeypatch):
-        pair = canonical_pair(theta, 1, 0)
-        lam = PhasedImages(pair)
-        words = enumerate_words(theta, (k, k))
-        p = _cascade_unitary(lam, k)
-        assert lam.word_image(words[0]) != mul(p, Element.gen(theta, words[0], EMPTY_WORD))
-        calls = count_apply(monkeypatch)
-        assert ad_product_check(lam, k)
-        assert len(calls) == len(words) ** 2
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_negated_word_image_fails(self, theta, k):
