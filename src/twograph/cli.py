@@ -19,7 +19,6 @@ from . import modular as md
 from .algebra import Element
 from .errors import MalformedInput, TwoGraphError
 from .exprs import parse_expression
-from .kernel import BACKEND
 from .oracle import GradedActionModel
 from .semigroup import (
     Degree,
@@ -33,6 +32,9 @@ from .semigroup import (
 from .suites import SUITE_NAMES, run_suite
 
 MAX_LEVEL = (3, 3)
+# `gram k` builds a basis of (m^k n^k)^2 generators and a Gram matrix with the
+# square of that many entries; 1296 is gram 2 on 2x3 (about 7 s, 40 MB)
+MAX_GRAM_BASIS = 1296
 
 
 class _Output:
@@ -111,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("check", parents=[common]).add_argument(
         "suite", choices=SUITE_NAMES + ("all",)
     )
-    sub.add_parser("backend", parents=[common])
     return parser
 
 
@@ -194,10 +195,6 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args, theta: Permutation2D, out: _Output) -> int:
     cmd = args.command
 
-    if cmd == "backend":
-        out.kv("kernel", BACKEND)
-        return 0
-
     if cmd == "nf":
         word = normal_form(theta, parse_word_letters(args.word))
         out.kv("result", word)
@@ -249,6 +246,12 @@ def _dispatch(args, theta: Permutation2D, out: _Output) -> int:
 
     if cmd == "gram":
         k = args.level_k
+        if k > min(MAX_LEVEL):
+            raise TwoGraphError(f"gram level capped at {min(MAX_LEVEL)} for cost control")
+        size = (theta.m ** k * theta.n ** k) ** 2
+        if size > MAX_GRAM_BASIS:
+            raise TwoGraphError(f"gram {k} on {theta.m}x{theta.n} needs a basis of {size} "
+                                f"elements, capped at {MAX_GRAM_BASIS} for cost control")
         words = enumerate_words(theta, (k, k))
         basis = [Element.gen(theta, u, v) for u in words for v in words]
         gram = md.gram_matrix(basis)

@@ -1,35 +1,124 @@
-"""Kernel backend selection.
+"""The word kernel: canonical forms, factorization and common extensions.
 
-The word operations (canonical forms, factorization, common extensions) sit
-in the inner loop of every algebra product, so they exist twice: a compiled
-Cython module and a pure-Python fallback with the same interface. The
-compiled one is preferred when importable.
+Letters are signed ints: e_i is +i, f_j is -j (1-based). A commutation
+table is prepared once into a flat handle; all functions here are pure and
+operate on plain int tuples. `common_ext` decides a pair of comparable
+degrees with one factorization and enumerates candidates only for
+incomparable degrees.
 
-Set TWOGRAPH_KERNEL=pure or TWOGRAPH_KERNEL=cython to force a backend
-(``cython`` raises if the extension was not built).
+Encoding of the table: index (i-1)*n + (j-1) holds (i'-1)*n + (j'-1),
+meaning the pair e_i f_j rewrites to f_{j'} e_{i'}. The inverse table is
+used when pulling e-letters to the front.
 """
 
-import os
+from itertools import product
 
-_choice = os.environ.get("TWOGRAPH_KERNEL", "auto")
+BACKEND = "pure"
 
-if _choice == "pure":
-    from . import _kernel_py as _impl
-elif _choice == "cython":
-    from . import _kernel_cy as _impl  # type: ignore[no-redef]
-elif _choice == "auto":
-    try:
-        from . import _kernel_cy as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernel_py as _impl  # type: ignore[no-redef]
-else:
-    raise RuntimeError(f"TWOGRAPH_KERNEL must be auto, pure or cython, got {_choice!r}")
 
-BACKEND = _impl.BACKEND
+def prepare(m, n, fwd):
+    """Build a kernel handle from the flat forward table."""
+    fwd = tuple(fwd)
+    inv = [0] * (m * n)
+    for src, dst in enumerate(fwd):
+        inv[dst] = src
+    return (m, n, fwd, tuple(inv))
 
-prepare = _impl.prepare
-normalize = _impl.normalize
-concat = _impl.concat
-to_f_first = _impl.to_f_first
-factor = _impl.factor
-common_ext = _impl.common_ext
+
+def normalize(tables, letters):
+    """Canonical (e-block, f-block) of a signed-letter sequence."""
+    _, n, _, inv = tables
+    es = []
+    fs = []
+    for x in letters:
+        if x > 0:
+            cur = x
+            for k in range(len(fs) - 1, -1, -1):
+                src = inv[(cur - 1) * n + (fs[k] - 1)]
+                cur = src // n + 1
+                fs[k] = src % n + 1
+            es.append(cur)
+        else:
+            fs.append(-x)
+    return tuple(es), tuple(fs)
+
+
+def concat(tables, e1, f1, e2, f2):
+    """Canonical form of the juxtaposition of two canonical words."""
+    _, n, _, inv = tables
+    es = list(e1)
+    fs = list(f1)
+    for cur in e2:
+        for k in range(len(fs) - 1, -1, -1):
+            src = inv[(cur - 1) * n + (fs[k] - 1)]
+            cur = src // n + 1
+            fs[k] = src % n + 1
+        es.append(cur)
+    fs.extend(f2)
+    return tuple(es), tuple(fs)
+
+
+def to_f_first(tables, es_in, fs_in):
+    """Rewrite a canonical word into its unique f-first form (f-block, e-block)."""
+    _, n, fwd, _ = tables
+    es = list(es_in)
+    fs = []
+    for cur in fs_in:
+        for k in range(len(es) - 1, -1, -1):
+            dst = fwd[(es[k] - 1) * n + (cur - 1)]
+            es[k] = dst // n + 1
+            cur = dst % n + 1
+        fs.append(cur)
+    return tuple(fs), tuple(es)
+
+
+def factor(tables, es, fs, p, q):
+    """Split a canonical word at degree (p, q); caller checks bounds.
+
+    Returns (e1, f1, e2, f2), both halves canonical. The prefix keeps the
+    first p e-letters verbatim; its f-letters are the first q letters of the
+    f-first form of what remains.
+    """
+    _, n, _, inv = tables
+    e1 = es[:p]
+    frem, erem = to_f_first(tables, es[p:], fs)
+    f1 = frem[:q]
+    es2 = []
+    fs2 = list(frem[q:])
+    for cur in erem:
+        for k in range(len(fs2) - 1, -1, -1):
+            src = inv[(cur - 1) * n + (fs2[k] - 1)]
+            cur = src // n + 1
+            fs2[k] = src % n + 1
+        es2.append(cur)
+    return e1, f1, tuple(es2), tuple(fs2)
+
+
+def common_ext(tables, eu, fu, ev, fv):
+    """All (w1, w2) with v*w1 == u*w2 at the join degree of u and v.
+
+    Returned as tuples (w1e, w1f, w2e, w2f) in lexicographic order of w1.
+    If d(v) <= d(u), unique factorization leaves at most one pair: w2 is
+    empty and v*w1 == u exactly when u splits at d(v) into (v, w1). One
+    `factor` of u decides it, and symmetrically one of v if d(u) <= d(v).
+    Only incomparable degrees enumerate the candidates w1.
+    """
+    au, bu = len(eu), len(fu)
+    av, bv = len(ev), len(fv)
+    if av <= au and bv <= bu:
+        pe, pf, re_, rf = factor(tables, eu, fu, av, bv)
+        return [(re_, rf, (), ())] if pe == ev and pf == fv else []
+    if au <= av and bu <= bv:
+        pe, pf, re_, rf = factor(tables, ev, fv, au, bu)
+        return [((), (), re_, rf)] if pe == eu and pf == fu else []
+    m, n, _, _ = tables
+    da = max(au, av) - av
+    db = max(bu, bv) - bv
+    out = []
+    for w1e in product(range(1, m + 1), repeat=da):
+        for w1f in product(range(1, n + 1), repeat=db):
+            ze, zf = concat(tables, ev, fv, w1e, w1f)
+            pe, pf, re_, rf = factor(tables, ze, zf, au, bu)
+            if pe == eu and pf == fu:
+                out.append((w1e, w1f, re_, rf))
+    return out

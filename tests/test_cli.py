@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from twograph import cli
 from twograph.cli import main, parse_pair_spec
 from twograph.endo import canonical_pair, gallery
 from twograph.semigroup import theta_text
@@ -49,9 +50,19 @@ class TestComputeCommands:
         assert code == 0
         assert "size: 16" in out
 
-    def test_backend(self, capsys):
-        code, out = capture(capsys, "backend")
-        assert code == 0 and ("pure" in out or "cython" in out)
+    def test_gram_refuses_a_basis_over_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRAM_BASIS", 15)
+        code = run_cli("gram", "1", "--m", "2", "--n", "2")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: gram 1 on 2x2 needs a basis of 16 elements, capped at 15 for cost control\n"
+        )
+
+    def test_gram_refuses_a_level_over_the_cap(self, capsys):
+        # on 1x1 the basis has one element, but its words have 2k letters
+        code = run_cli("gram", "1000000000", "--m", "1", "--n", "1")
+        assert code == 2
+        assert capsys.readouterr().err == "error: gram level capped at 3 for cost control\n"
 
 
 class TestBooleanCommands:
@@ -168,11 +179,11 @@ class TestThetaFile:
 
 def test_console_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "twograph.cli", "backend"],
+        [sys.executable, "-m", "twograph.cli", "nf", "e1.f1"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
-    assert "kernel" in proc.stdout
+    assert proc.stdout == "result: e1.f1\n"
 
 
 class TestUsageErrors:
@@ -201,7 +212,9 @@ class TestUsageErrors:
         ("kms", "S[e1;id]", "S[e1;id]", "--float-tol", "abc"),
         ("nf", "e1", "--level", "x"),
         (),
-    ], ids=["unknown-suite", "non-float-tolerance", "malformed-level", "missing-command"])
+        ("backend",),
+    ], ids=["unknown-suite", "non-float-tolerance", "malformed-level", "missing-command",
+            "removed-backend-command"])
     def test_argparse_error_is_one_line(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
             run_cli(*argv)

@@ -1,5 +1,5 @@
-"""The word kernel: `common_ext` against a brute force on random tables, and
-backend parity (the compiled kernel must agree with the pure one)."""
+"""The word kernel on random tables: `concat` and `factor` against each
+other and against `normalize`, and `common_ext` against a brute force."""
 
 import random
 from itertools import product
@@ -7,14 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twograph import _kernel_py as kpy
-
-try:
-    from twograph import _kernel_cy as kcy
-except ImportError:
-    kcy = None
-
-needs_compiled = pytest.mark.skipif(kcy is None, reason="compiled kernel not built")
+from twograph import kernel
 
 
 def random_table(rng, m, n):
@@ -38,39 +31,31 @@ def table_and_letters(draw):
     return m, n, fwd, letters
 
 
-@needs_compiled
 @settings(max_examples=150, deadline=None)
 @given(table_and_letters())
-def test_normalize_parity(data):
+def test_concat_of_factors_is_the_word(data):
     m, n, fwd, letters = data
-    hp, hc = kpy.prepare(m, n, fwd), kcy.prepare(m, n, fwd)
-    assert kpy.normalize(hp, letters) == kcy.normalize(hc, letters)
+    tables = kernel.prepare(m, n, fwd)
+    es, fs = kernel.normalize(tables, letters)
+    f_first, e_last = kernel.to_f_first(tables, es, fs)
+    assert kernel.normalize(tables, [-j for j in f_first] + list(e_last)) == (es, fs)
+    for p in range(len(es) + 1):
+        for q in range(len(fs) + 1):
+            e1, f1, e2, f2 = kernel.factor(tables, es, fs, p, q)
+            assert (len(e1), len(f1)) == (p, q)
+            assert kernel.concat(tables, e1, f1, e2, f2) == (es, fs)
 
 
-@needs_compiled
-@settings(max_examples=100, deadline=None)
-@given(table_and_letters(), table_and_letters())
-def test_concat_factor_parity(data1, data2):
-    m, n, fwd, letters = data1
-    hp, hc = kpy.prepare(m, n, fwd), kcy.prepare(m, n, fwd)
-    e1, f1 = kpy.normalize(hp, letters)
-    e2, f2 = kpy.normalize(hp, [x for x in data2[3] if 0 < x <= m or -n <= x < 0])
-    assert kpy.concat(hp, e1, f1, e2, f2) == kcy.concat(hc, e1, f1, e2, f2)
-    assert kpy.to_f_first(hp, e1, f1) == kcy.to_f_first(hc, e1, f1)
-    for p in range(len(e1) + 1):
-        for q in range(len(f1) + 1):
-            assert kpy.factor(hp, e1, f1, p, q) == kcy.factor(hc, e1, f1, p, q)
-
-
-@needs_compiled
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(table_and_letters())
-def test_common_ext_parity(data):
+def test_normalize_of_juxtaposition_is_concat(data):
     m, n, fwd, letters = data
-    hp, hc = kpy.prepare(m, n, fwd), kcy.prepare(m, n, fwd)
-    eu, fu = kpy.normalize(hp, letters[:5])
-    ev, fv = kpy.normalize(hp, letters[5:])
-    assert kpy.common_ext(hp, eu, fu, ev, fv) == kcy.common_ext(hc, eu, fu, ev, fv)
+    tables = kernel.prepare(m, n, fwd)
+    whole = kernel.normalize(tables, letters)
+    for k in range(len(letters) + 1):
+        a = kernel.normalize(tables, letters[:k])
+        b = kernel.normalize(tables, letters[k:])
+        assert kernel.concat(tables, *a, *b) == whole
 
 
 def brute_force_common_ext(tables, eu, fu, ev, fv):
@@ -81,8 +66,8 @@ def brute_force_common_ext(tables, eu, fu, ev, fv):
     out = []
     for ze in product(range(1, m + 1), repeat=max(au, av)):
         for zf in product(range(1, n + 1), repeat=max(bu, bv)):
-            pve, pvf, w1e, w1f = kpy.factor(tables, ze, zf, av, bv)
-            pue, puf, w2e, w2f = kpy.factor(tables, ze, zf, au, bu)
+            pve, pvf, w1e, w1f = kernel.factor(tables, ze, zf, av, bv)
+            pue, puf, w2e, w2f = kernel.factor(tables, ze, zf, au, bu)
             if (pve, pvf) == (ev, fv) and (pue, puf) == (eu, fu):
                 out.append((w1e, w1f, w2e, w2f))
     return sorted(out)
@@ -97,7 +82,7 @@ SHAPES = ("v-below-u", "u-below-v", "equal", "empty", "incomparable")
 def table_and_word_pair(draw, shape):
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 3))
-    tables = kpy.prepare(m, n, random_table(random.Random(draw(st.integers(0, 2**32))), m, n))
+    tables = kernel.prepare(m, n, random_table(random.Random(draw(st.integers(0, 2**32))), m, n))
     small = st.integers(0, 2)
     lo = (draw(small), draw(small))
     if shape in ("v-below-u", "u-below-v"):
@@ -120,8 +105,8 @@ def table_and_word_pair(draw, shape):
     if draw(st.booleans()):
         # u and v both prefixes of one word z, so they have a common extension
         ze, zf = letters(max(du[0], dv[0]), m), letters(max(du[1], dv[1]), n)
-        eu, fu = kpy.factor(tables, ze, zf, *du)[:2]
-        ev, fv = kpy.factor(tables, ze, zf, *dv)[:2]
+        eu, fu = kernel.factor(tables, ze, zf, *du)[:2]
+        ev, fv = kernel.factor(tables, ze, zf, *dv)[:2]
     else:
         eu, fu, ev, fv = letters(du[0], m), letters(du[1], n), letters(dv[0], m), letters(dv[1], n)
     return tables, eu, fu, ev, fv
@@ -133,13 +118,13 @@ def table_and_word_pair(draw, shape):
 def test_common_ext_matches_brute_force(shape, data):
     tables, eu, fu, ev, fv = data.draw(table_and_word_pair(shape))
     expected = brute_force_common_ext(tables, eu, fu, ev, fv)
-    assert kpy.common_ext(tables, eu, fu, ev, fv) == expected
+    assert kernel.common_ext(tables, eu, fu, ev, fv) == expected
 
 
 def test_selected_backend_exposed():
-    from twograph.kernel import BACKEND
+    import twograph
 
-    assert BACKEND in ("pure", "cython")
+    assert twograph.KERNEL_BACKEND == kernel.BACKEND == "pure"
 
 
 def test_star_import_binds_every_public_name():

@@ -13,6 +13,7 @@ from twograph.errors import (
 )
 from twograph.semigroup import (
     EMPTY_WORD,
+    Permutation2D,
     Word,
     common_extensions,
     concat,
@@ -207,11 +208,20 @@ class TestCommonExtensions:
                 assert concat(theta, v, w1) == concat(theta, u, w2)
 
 
+@st.composite
+def random_theta(draw):
+    """A random permutation table with m, n <= 3."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    return Permutation2D(m, n, dict(zip(pairs, draw(st.permutations(pairs)))))
+
+
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_confluence_three_orders(flip22, id23, data):
-    """All rewrite orders and the kernel agree on random letter sequences."""
-    theta = data.draw(st.sampled_from([flip22, id23]))
+    """All rewrite orders and the kernel agree on random letter sequences,
+    on the two fixture tables and on random tables."""
+    theta = data.draw(st.one_of(st.sampled_from([flip22, id23]), random_theta()))
     letters = data.draw(
         st.lists(
             st.one_of(st.integers(1, theta.m), st.integers(-theta.n, -1)),
