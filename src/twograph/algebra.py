@@ -127,7 +127,11 @@ class Element:
     def __sub__(self, other) -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        return self + (-other)
+        self._require_same_theta(other)
+        acc = dict(self._terms)
+        for t, c in other._terms.items():
+            _accumulate(acc, t, -c)
+        return Element(self.theta, acc)
 
     def __neg__(self) -> "Element":
         return Element(
@@ -270,10 +274,6 @@ def mul(a: Element, b: Element) -> Element:
     return Element(theta, acc).canonicalize()
 
 
-def adjoint(a: Element) -> Element:
-    return a.adjoint()
-
-
 def raise_level(theta: Permutation2D, t: GenTerm, delta: Degree) -> Element:
     """Defect-free expansion: s_u s_v* = sum over d(w)=delta of s_{uw} s_{vw}*."""
     acc = {
@@ -315,15 +315,6 @@ def _as_gaussian_pair(t) -> tuple[Fraction, Fraction]:
     return Fraction(re), Fraction(im)
 
 
-def _gaussian_power(g: tuple[Fraction, Fraction], k: int) -> ExactScalar:
-    # |g| = 1, so negative powers are conjugate powers
-    base = ExactScalar.gaussian(*g)
-    if k < 0:
-        base = base.conjugate()
-        k = -k
-    return base ** k
-
-
 def gauge(a: Element, t) -> Element:
     """The torus action: scales s_u s_v* by t^(d(u) - d(v)), exactly.
 
@@ -334,10 +325,11 @@ def gauge(a: Element, t) -> Element:
     for re, im in (t1, t2):
         if re * re + im * im != 1:
             raise NotUnitModulus(f"|t|^2 = {re * re + im * im} != 1")
+    g1, g2 = ExactScalar.gaussian(*t1), ExactScalar.gaussian(*t2)
     acc = {}
     for term, c in a._terms.items():
         d1, d2 = term.degree
-        acc[term] = c * _gaussian_power(t1, d1) * _gaussian_power(t2, d2)
+        acc[term] = c * g1 ** d1 * g2 ** d2
     return Element(a.theta, acc)
 
 

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 on success / all checks passing, 1 on a failed check, 2 on
-usage or expression errors, each reported as one `error:` line on stderr.
+usage or expression errors and when stdout is closed early, each reported
+as one `error:` line on stderr.
 With --format records the output is line-oriented `key<TAB>value` pairs;
 reports are byte-identical for identical (theta, seed, level, samples)
 configurations.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -186,9 +188,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _dispatch(args, theta, _Output(args.format))
+        code = _dispatch(args, theta, _Output(args.format))
+        sys.stdout.flush()  # a closed stdout raises here, not in the exit flush
+        return code
     except TwoGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before all output was written", file=sys.stderr)
         return 2
 
 
@@ -269,25 +278,23 @@ def _dispatch(args, theta: Permutation2D, out: _Output) -> int:
         out.kv("equal", "true" if equal else "false")
         return 0 if equal else 1
 
-    if cmd == "check":
-        reports = run_suite(args.suite, theta, args.seed, args.level,
-                            args.samples, args.float_tol)
-        out.kv("theta", args.theta)
-        out.kv("m", theta.m)
-        out.kv("n", theta.n)
-        out.kv("seed", args.seed)
-        out.kv("level", f"{args.level[0]},{args.level[1]}")
-        out.kv("samples", args.samples)
-        all_passed = True
-        for report in reports:
-            for case in report.cases:
-                status = "PASS" if case.passed else "FAIL"
-                out.kv(f"case.{report.name}.{case.case_id}", f"{status} {case.detail}")
-                all_passed = all_passed and case.passed
-        out.kv("result", "PASS" if all_passed else "FAIL")
-        return 0 if all_passed else 1
-
-    raise TwoGraphError(f"unknown command {cmd!r}")
+    # argparse admits only the commands above and "check"
+    reports = run_suite(args.suite, theta, args.seed, args.level,
+                        args.samples, args.float_tol)
+    out.kv("theta", args.theta)
+    out.kv("m", theta.m)
+    out.kv("n", theta.n)
+    out.kv("seed", args.seed)
+    out.kv("level", f"{args.level[0]},{args.level[1]}")
+    out.kv("samples", args.samples)
+    all_passed = True
+    for report in reports:
+        for case in report.cases:
+            status = "PASS" if case.passed else "FAIL"
+            out.kv(f"case.{report.name}.{case.case_id}", f"{status} {case.detail}")
+            all_passed = all_passed and case.passed
+    out.kv("result", "PASS" if all_passed else "FAIL")
+    return 0 if all_passed else 1
 
 
 if __name__ == "__main__":

@@ -31,7 +31,15 @@ diagonal) and are necessary conditions for the full statements.
 
 from __future__ import annotations
 
-from .algebra import Element, GenTerm, is_unitary, mul, permutation_unitary
+from .algebra import (
+    Element,
+    GenTerm,
+    _accumulate,
+    in_subalgebra,
+    is_unitary,
+    mul,
+    permutation_unitary,
+)
 from .errors import (
     MalformedInput,
     NotTwisted,
@@ -181,11 +189,12 @@ class Endomorphism:
         """Multiplicative *-extension to the whole dense algebra."""
         if x.theta != self.theta:
             raise ThetaMismatch("element lives over a different table")
-        acc = Element.zero(self.theta)
+        acc: dict[GenTerm, ExactScalar] = {}
         for t, c in x._terms.items():
             img = mul(self.word_image(t.u), self.word_image(t.v).adjoint())
-            acc = acc + img.scaled(c)
-        return acc.canonicalize()
+            for t2, c2 in img._terms.items():
+                _accumulate(acc, t2, c * c2)
+        return Element(self.theta, acc).canonicalize()
 
     def generator_images(self) -> tuple[dict[int, Element], dict[int, Element]]:
         return dict(self._e_images), dict(self._f_images)
@@ -322,8 +331,6 @@ def preserves_subalgebra(endo: Endomorphism, which: str, k: int) -> bool:
     generator at level k."""
     if k < 1:
         raise MalformedInput("level must be >= 1")
-    from .algebra import in_subalgebra
-
     theta = endo.theta
     words = enumerate_words(theta, (k, k))
     if which == "core":

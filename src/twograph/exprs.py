@@ -74,10 +74,6 @@ class _Parser:
             raise ExpressionSyntaxError(f"expected {value!r}", pos)
         return self.advance()
 
-    def fail(self, message: str):
-        _, _, pos = self.peek()
-        raise ExpressionSyntaxError(message, pos)
-
     # expr := ['-'] term (('+'|'-') term)*
     def parse_expr(self) -> Element:
         negate = False

@@ -8,9 +8,11 @@ window (W, W):
 
 On strata of strictly positive degree the defect-free sums act as the
 identity, so comparing the sparse matrix actions of two elements on a high
-enough stratum decides equality of the elements — by a code path that
-never touches the symbolic product or canonical form. Only the word-level
-operations (factor, concatenate) are shared with the symbolic side.
+enough stratum decides equality of the elements (`oracle_equal`) and
+checks a symbolic product against the composed action of its factors
+(`product_agrees`) — by a code path that never touches the symbolic
+product or canonical form. Only the word-level operations (factor,
+concatenate) are shared with the symbolic side.
 """
 
 from __future__ import annotations
@@ -73,14 +75,8 @@ class GradedActionModel:
         out: dict[Word, ExactScalar] = {}
         for t, c in a._terms.items():
             image = self.act_term(t, z)
-            if image is None:
-                continue
-            prev = out.get(image)
-            total = c if prev is None else prev + c
-            if total.is_zero:
-                out.pop(image, None)
-            else:
-                out[image] = total
+            if image is not None:
+                _add_to(out, image, c)
         return out
 
     def _evaluation_stratum(self, *elements: Element) -> Degree:
@@ -98,6 +94,20 @@ class GradedActionModel:
         stratum_degree = self._evaluation_stratum(a, b)
         for z in self.stratum(stratum_degree):
             if self.act(a, z) != self.act(b, z):
+                return False
+        return True
+
+    def product_agrees(self, a: Element, b: Element, product: Element) -> bool:
+        """Whether `product` acts as the composed action (b, then a) on the
+        evaluation stratum of all three elements."""
+        a._require_same_theta(b)
+        a._require_same_theta(product)
+        for z in self.stratum(self._evaluation_stratum(a, b, product)):
+            composed: dict[Word, ExactScalar] = {}
+            for mid, c_mid in self.act(b, z).items():
+                for out, c_out in self.act(a, mid).items():
+                    _add_to(composed, out, c_mid * c_out)
+            if self.act(product, z) != composed:
                 return False
         return True
 
@@ -119,3 +129,12 @@ class GradedActionModel:
             if diag is not None:
                 total = total + diag
         return total * power_of_base(self.theta, (level, level), -1)
+
+
+def _add_to(vec: dict[Word, ExactScalar], w: Word, c: ExactScalar) -> None:
+    """The oracle's one merge: add c at w, dropping the entry if it cancels."""
+    total = vec[w] + c if w in vec else c
+    if total.is_zero:
+        vec.pop(w, None)
+    else:
+        vec[w] = total

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import Element, GenTerm, permutation_unitary
+from .algebra import Element, GenTerm, _accumulate, permutation_unitary
 from .scalar import ExactScalar
 from .semigroup import Degree, Permutation2D, Word, enumerate_words
 
@@ -58,7 +58,7 @@ def random_element(
     acc: dict[GenTerm, ExactScalar] = {}
     for _ in range(terms):
         t = GenTerm(random_word(rng, theta, level), random_word(rng, theta, level))
-        acc[t] = acc.get(t, ExactScalar.zero()) + random_coeff(rng)
+        _accumulate(acc, t, random_coeff(rng))
     return Element(theta, acc)
 
 
@@ -70,7 +70,7 @@ def random_core_element(
     acc: dict[GenTerm, ExactScalar] = {}
     for _ in range(terms):
         t = GenTerm(rng.choice(words), rng.choice(words))
-        acc[t] = acc.get(t, ExactScalar.zero()) + random_coeff(rng)
+        _accumulate(acc, t, random_coeff(rng))
     return Element(theta, acc)
 
 

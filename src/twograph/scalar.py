@@ -306,20 +306,16 @@ def _coerce(x) -> ExactScalar | None:
     return None
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)  # Fraction prints p or p/q
-
-
 def _term_str(mono: Monomial, coeff: Gaussian) -> str:
     re, im = coeff
     if im == 0:
-        g = _frac_str(re)
+        g = str(re)
     elif re == 0:
-        g = _frac_str(im) + "i"
+        g = f"{im}i"
     else:
         sign = "+" if im > 0 else "-"
-        g = f"({_frac_str(re)}{sign}{_frac_str(abs(im))}i)"
-    factors = [f"{p}^({_frac_str(r)})" for p, r in mono]
+        g = f"({re}{sign}{abs(im)}i)"
+    factors = [f"{p}^({r})" for p, r in mono]
     if not factors:
         return g
     if g == "1":

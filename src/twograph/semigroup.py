@@ -81,10 +81,6 @@ class Word(NamedTuple):
         """Total order: by degree, then lexicographic on the blocks."""
         return (self.degree, self.e_block, self.f_block)
 
-    def letters(self) -> tuple[int, ...]:
-        """Signed-letter spelling: e_i is +i, f_j is -j."""
-        return self.e_block + tuple(-j for j in self.f_block)
-
     def __str__(self) -> str:
         if self.is_empty:
             return "id"

@@ -108,6 +108,17 @@ class TestEndoCommand:
                             "S[e1;id]", "--m", "2", "--n", "2")
         assert code == 0 and "S[e2" in out
 
+    def test_apply_text_is_pinned(self, capsys):
+        """Term order and the raised level of a multi-term image."""
+        code, out = capture(capsys, "endo", "apply", "inner(S[e1;e2]+S[e2;e1])",
+                            "S[e1.f1;e2]+2*S[e2;e1.f2]-S[id;f1]", "--m", "2", "--n", "2")
+        assert code == 0
+        assert out == (
+            "result: (-1)*S[e1.e1;e1.e1.f1] + (-1)*S[e1.e2;e1.e2.f1] + (-1)*S[e2.e1;e2.e1.f1]"
+            " + (2)*S[e1.e1;e2.e1.f2] + (-1)*S[e2.e2;e2.e2.f1] + (2)*S[e1.e2;e2.e2.f2]"
+            " + S[e2.e1.f1;e1.e1] + S[e2.e2.f1;e1.e2]\n"
+        )
+
     def test_pair_spec_parsing(self, flip22):
         assert parse_pair_spec("ex312", flip22).equals(gallery(flip22, "ex312"))
         assert parse_pair_spec("canonical(1,1)", flip22).equals(canonical_pair(flip22, 1, 1))
@@ -184,6 +195,19 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "result: e1.f1\n"
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "twograph.cli", "gram", "2", "--m", "2", "--n", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.stdout.readline() == "size: 256\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in stderr
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
 
 class TestUsageErrors:

@@ -89,6 +89,13 @@ class TestOracleEqual:
                         else:
                             composed[out] = total
                 assert model.act(product, z) == composed
+            assert model.product_agrees(a, b, product)
+
+    def test_product_agrees_rejects_the_wrong_order(self, theta):
+        model = GradedActionModel(theta, window=4)
+        a, b = gen(theta, "e1", "id"), gen(theta, "id", "e1")
+        assert model.product_agrees(a, b, mul(a, b))
+        assert not model.product_agrees(a, b, mul(b, a))
 
     def test_oracle_equal_of_product_terms(self, theta):
         model = GradedActionModel(theta, window=6)
