@@ -7,7 +7,11 @@ product follows the common-extension expansion
     (s_{u1} s_{v1}*)(s_{u2} s_{v2}*) = sum s_{u1 w1} s_{v2 w2}*
 
 over the pairs (w1, w2) with v1 w1 = u2 w2 at the join degree, so finite
-sums stay finite and every identity is decided exactly.
+sums stay finite and every identity is decided exactly. A pair can meet
+only if v1 and u2 have the same prefix at the meet degree d(v1) ^ d(u2):
+both are the prefix of v1 w1 = u2 w2 there, by unique factorization (the
+Lambda^min condition of finitely aligned k-graphs). `mul` indexes the
+right operand by that prefix and skips every other pair, which is exact.
 
 Canonical form: terms are grouped by the degree difference d(u) - d(v);
 within a group every term is raised (defect-free expansion) to the
@@ -36,6 +40,7 @@ from .semigroup import (
     deg_le,
     deg_sub,
     enumerate_words,
+    factor_at,
 )
 
 
@@ -252,16 +257,53 @@ def _accumulate(acc: dict[GenTerm, ExactScalar], t: GenTerm, c: ExactScalar) -> 
             acc[t] = s
 
 
+def _prefix(theta: Permutation2D, w: Word, meet: Degree) -> Word:
+    """The prefix of w of degree meet <= d(w)."""
+    if meet == w.degree:
+        return w
+    if not meet[1]:
+        # `factor` keeps the first e-letters verbatim
+        return Word(w.e_block[:meet[0]], ())
+    return factor_at(theta, w, meet)[0]
+
+
 def mul(a: Element, b: Element) -> Element:
-    """Exact product via common extensions, canonicalized."""
+    """Exact product via common extensions, canonicalized.
+
+    A pair (s_{u1} s_{v1}*)(s_{u2} s_{v2}*) contributes only if v1 w1 = u2 w2
+    = z for some w1, w2. By unique factorization z has one prefix of degree
+    meet = d(v1) ^ d(u2), and it is the prefix of v1 and of u2 at meet; a
+    pair whose prefixes differ there has no common extension, so skipping it
+    is exact. The right operand is grouped by d(u2); each class is bucketed
+    by the prefix of u2 at each meet the left operand asks for (built once
+    per (class, meet) on first use), and only the bucket of v1's prefix is
+    scanned. The common-extension cache decides every surviving pair. Pairs
+    are taken in the right operand's order, so the sums are accumulated in
+    the same sequence as an all-pairs loop would.
+    """
     a._require_same_theta(b)
     theta = a.theta
     acc: dict[GenTerm, ExactScalar] = {}
-    right = [(t2.u, t2.v, c2) for t2, c2 in b._terms.items()]
+    classes: dict[Degree, list[tuple[int, Word, Word, ExactScalar]]] = {}
+    for idx, (t2, c2) in enumerate(b._terms.items()):
+        classes.setdefault(t2.u.degree, []).append((idx, t2.u, t2.v, c2))
+    buckets: dict[tuple[Degree, Degree], dict[Word, list]] = {}
     for t1, c1 in a._terms.items():
-        for u2, v2, c2 in right:
-            # most pairs do not meet: multiply the coefficients only when they do
-            exts = _common_extensions_cached(theta, u2, t1.v)
+        v1 = t1.v
+        p, q = v1.degree
+        hits = []
+        for dc, members in classes.items():
+            meet = (min(p, dc[0]), min(q, dc[1]))
+            bucket = buckets.get((dc, meet))
+            if bucket is None:
+                bucket = buckets[(dc, meet)] = {}
+                for member in members:
+                    bucket.setdefault(_prefix(theta, member[1], meet), []).append(member)
+            hits += bucket.get(_prefix(theta, v1, meet), ())
+        hits.sort()
+        for _, u2, v2, c2 in hits:
+            # multiply the coefficients only for pairs that meet
+            exts = _common_extensions_cached(theta, u2, v1)
             if not exts:
                 continue
             c = c1 * c2

@@ -37,6 +37,11 @@ MAX_LEVEL = (3, 3)
 # `gram k` builds a basis of (m^k n^k)^2 generators and a Gram matrix with the
 # square of that many entries; 1296 is gram 2 on 2x3 (about 7 s, 40 MB)
 MAX_GRAM_BASIS = 1296
+# `spectrum W` computes (2W + 1)^2 points m^a n^b; 40401 is spectrum 100 (about 2.5 s)
+MAX_SPECTRUM_POINTS = 40401
+# `canonical(p,q)` writes m^p n^q words of p + q letters each; 10368 letters is
+# canonical(4,4) on 2x3 (1296 words, about 1 s to apply to a generator)
+MAX_CANONICAL_LETTERS = 10368
 
 
 class _Output:
@@ -170,6 +175,7 @@ def parse_pair_spec(spec: str, theta: Permutation2D) -> en.UnitaryPair:
             p, q = int(args[0]), int(args[1])
         except ValueError:
             raise MalformedInput(f"canonical needs integer degrees, got {spec!r}") from None
+        _check_canonical_budget(theta, p, q)
         return en.canonical_pair(theta, p, q)
     elements = [parse_expression(arg, theta) for arg in args]
     if name == "inner":
@@ -177,6 +183,19 @@ def parse_pair_spec(spec: str, theta: Permutation2D) -> en.UnitaryPair:
     if name == "pair":
         return en.UnitaryPair(*elements)
     return en.gallery(theta, name, *elements)
+
+
+def _check_canonical_budget(theta: Permutation2D, p: int, q: int) -> None:
+    """Refuse canonical(p,q) before its words are enumerated. Exponents are
+    clipped where 2^clip already exceeds the cap, so no huge power is built."""
+    if p < 0 or q < 0:
+        return  # enumerate_words reports the negative degree
+    clip = MAX_CANONICAL_LETTERS.bit_length()
+    letters = theta.m ** min(p, clip) * theta.n ** min(q, clip) * (p + q)
+    if letters > MAX_CANONICAL_LETTERS:
+        raise TwoGraphError(f"canonical({p},{q}) on {theta.m}x{theta.n} writes "
+                            f"{theta.m}^{p}*{theta.n}^{q} words of {p + q} letters, capped at "
+                            f"{MAX_CANONICAL_LETTERS} letters for cost control")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -247,6 +266,10 @@ def _dispatch(args, theta: Permutation2D, out: _Output) -> int:
         return 0 if ok else 1
 
     if cmd == "spectrum":
+        points = (2 * args.window + 1) ** 2
+        if points > MAX_SPECTRUM_POINTS:
+            raise TwoGraphError(f"spectrum {args.window} computes {points} points, "
+                                f"capped at {MAX_SPECTRUM_POINTS} for cost control")
         values = md.modular_spectrum_window(theta, args.window)
         out.kv("count", len(values))
         for value in values:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 Monomial = tuple[tuple[int, Fraction], ...]  # ((prime, fractional exponent), ...)
@@ -58,14 +59,19 @@ def _canon_terms(raw: Iterable[tuple[dict[int, Fraction], Gaussian]]) -> dict[Mo
             if r != whole:
                 mono_items.append((p, r - whole))
         mono = tuple(mono_items)
-        re, im = re * scale, im * scale
-        if re or im:
-            ore, oim = acc.get(mono, (_ZERO, _ZERO))
-            nre, nim = ore + re, oim + im
-            if nre or nim:
-                acc[mono] = (nre, nim)
-            elif mono in acc:
-                del acc[mono]
+        if scale is not _ONE:
+            re, im = re * scale, im * scale
+        if not (re or im):
+            continue
+        prev = acc.get(mono)
+        if prev is None:
+            acc[mono] = (re, im)
+            continue
+        nre, nim = prev[0] + re, prev[1] + im
+        if nre or nim:
+            acc[mono] = (nre, nim)
+        else:
+            del acc[mono]
     return acc
 
 
@@ -330,7 +336,13 @@ def power_of_base(theta, delta, z) -> ExactScalar:
 
     `theta` only contributes the generator counts (m, n); delta is an integer
     pair, z a rational. Shared prime factors of m and n combine correctly
-    because bases are stored factorized.
+    because bases are stored factorized. Memoized on (m, n, delta, z) in an
+    LRU cache bounded at 4096 entries: the results are immutable, and the
+    same few hundred keys recur across the suites.
     """
-    z = Fraction(z)
-    return ExactScalar.root(theta.m, z * delta[0]) * ExactScalar.root(theta.n, z * delta[1])
+    return _power_of_base(theta.m, theta.n, (delta[0], delta[1]), Fraction(z))
+
+
+@lru_cache(maxsize=4096)
+def _power_of_base(m: int, n: int, delta: tuple[int, int], z: Fraction) -> ExactScalar:
+    return ExactScalar.root(m, z * delta[0]) * ExactScalar.root(n, z * delta[1])

@@ -1,6 +1,15 @@
 import pytest
+from hypothesis import strategies as st
 
 from twograph.semigroup import Permutation2D
+
+
+@st.composite
+def random_theta(draw):
+    """A random permutation table with m, n <= 3."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    return Permutation2D(m, n, dict(zip(pairs, draw(st.permutations(pairs)))))
 
 
 @pytest.fixture(scope="session")

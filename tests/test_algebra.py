@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from twograph import algebra
 from twograph.algebra import (
     Element,
     GenTerm,
+    _accumulate,
     degree_component,
     gauge,
     in_subalgebra,
@@ -19,11 +22,63 @@ from twograph.algebra import (
 from twograph.errors import NotAPermutation, NotUnitModulus, ThetaMismatch
 from twograph.sampling import random_element, rng_from_seed
 from twograph.scalar import ExactScalar
-from twograph.semigroup import EMPTY_WORD, word
+from twograph.semigroup import EMPTY_WORD, Word, common_extensions, concat, word
+
+from conftest import random_theta
 
 
 def gen(theta, u, v, coeff=None):
     return Element.gen(theta, word(theta, u), word(theta, v), coeff)
+
+
+def all_pairs_mul(a, b):
+    """The product by the all-pairs loop: every (left, right) term pair is
+    sent to the common-extension cache, left terms outer, right terms inner,
+    each in its operand's order."""
+    theta = a.theta
+    acc = {}
+    for t1, c1 in a._terms.items():
+        for t2, c2 in b._terms.items():
+            for w1, w2 in common_extensions(theta, t2.u, t1.v):
+                _accumulate(
+                    acc, GenTerm(concat(theta, t1.u, w1), concat(theta, t2.v, w2)), c1 * c2
+                )
+    return Element(theta, acc).canonicalize()
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """The (u, v) of every common-extension lookup that `mul` makes."""
+    original = algebra._common_extensions_cached
+    seen = []
+
+    def counting_lookup(th, u, v):
+        seen.append((str(u), str(v)))
+        return original(th, u, v)
+
+    monkeypatch.setattr(algebra, "_common_extensions_cached", counting_lookup)
+    return seen
+
+
+@st.composite
+def random_operand(draw, theta):
+    """An element whose terms take their degrees from a palette of one to
+    three degrees in the (2, 2) box, so that a degree class of the right
+    operand holds one term or several, and the degrees of v1 and u2 are often
+    incomparable (their meet lies strictly below both)."""
+    box = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    palette = draw(st.lists(box, min_size=1, max_size=3))
+
+    def draw_word():
+        a, b = draw(st.sampled_from(palette))
+        return Word(tuple(draw(st.integers(1, theta.m)) for _ in range(a)),
+                    tuple(draw(st.integers(1, theta.n)) for _ in range(b)))
+
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        re, im = draw(st.integers(-2, 2)), draw(st.integers(-1, 1))
+        _accumulate(terms, GenTerm(draw_word(), draw_word()), ExactScalar.gaussian(re, im))
+    return Element(theta, terms)
 
 
 class TestMul:
@@ -54,6 +109,42 @@ class TestMul:
         assert len(calls) == 1
         assert product == b
 
+    def test_scans_only_the_bucket_of_the_meet_prefix(self, theta, lookups):
+        # s_e1* s_e1 = 1 meets; s_e1* s_e2 = 0 has the prefix e2 at the meet (1, 0)
+        product = mul(gen(theta, "id", "e1"), gen(theta, "e1", "id") + gen(theta, "e2", "id"))
+        assert lookups == [("e1", "e1")]
+        assert product == Element.unit(theta)
+
+    def test_incomparable_degrees_share_the_empty_prefix(self, theta, lookups):
+        # d(e1) ^ d(f_j) = (0, 0): every f_j is in the one bucket and is decided
+        right = gen(theta, "f1", "id") + gen(theta, "f2", "id")
+        product = mul(gen(theta, "id", "e1"), right)
+        assert lookups == [("f1", "e1"), ("f2", "e1")]
+        assert product == all_pairs_mul(gen(theta, "id", "e1"), right)
+
+    @pytest.mark.parametrize("theta", ["flip22", "id23", "mixed23"], indirect=True)
+    def test_every_pair_of_degrees_matches_all_pairs(self, theta):
+        # four random words per degree of the (2, 2) box on each side, so every
+        # (d(v1), d(u2)) combination, comparable or not, meets in one product;
+        # the right operand's degree classes interleave
+        rng = random.Random(31)
+        box = [(a, b) for a in range(3) for b in range(3)]
+
+        def words():
+            out = [Word(tuple(rng.randint(1, theta.m) for _ in range(a)),
+                        tuple(rng.randint(1, theta.n) for _ in range(b)))
+                   for a, b in box for _ in range(4)]
+            rng.shuffle(out)
+            return out
+
+        left = Element(theta, {GenTerm(EMPTY_WORD, v): ExactScalar.rational(k + 1)
+                               for k, v in enumerate(words())})
+        right = Element(theta, {GenTerm(u, EMPTY_WORD): ExactScalar.gaussian(1, k)
+                                for k, u in enumerate(words())})
+        got, expected = mul(left, right), all_pairs_mul(left, right)
+        assert list(got._terms.items()) == list(expected._terms.items())
+        assert not got.is_empty
+
     def test_theta_mismatch(self, flip22, id22):
         with pytest.raises(ThetaMismatch):
             mul(Element.unit(flip22), Element.unit(id22))
@@ -77,6 +168,17 @@ class TestMul:
         for _ in range(20):
             a = random_element(rng, theta, (2, 2))
             assert mul(one, a) == a and mul(a, one) == a
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_meet_index_matches_all_pairs_on_random_tables(data):
+    """The indexed product and the all-pairs loop give the same terms in the
+    same order (the records depend on that order)."""
+    theta = data.draw(random_theta())
+    a, b = data.draw(random_operand(theta)), data.draw(random_operand(theta))
+    got, expected = mul(a, b), all_pairs_mul(a, b)
+    assert list(got._terms.items()) == list(expected._terms.items())
 
 
 class TestAdjoint:

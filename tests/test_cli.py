@@ -64,6 +64,45 @@ class TestComputeCommands:
         assert code == 2
         assert capsys.readouterr().err == "error: gram level capped at 3 for cost control\n"
 
+    def test_spectrum_refuses_a_window_over_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SPECTRUM_POINTS", 8)
+        code = run_cli("spectrum", "1", "--m", "2", "--n", "3")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: spectrum 1 computes 9 points, capped at 8 for cost control\n"
+        )
+
+    def test_spectrum_at_the_cap_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SPECTRUM_POINTS", 9)
+        code, out = capture(capsys, "spectrum", "1", "--m", "2", "--n", "3")
+        assert code == 0 and out.count("value") == 9
+
+    def test_canonical_refuses_words_over_the_cap(self, capsys, monkeypatch):
+        # canonical(1,1) on 2x3 writes 6 words of 2 letters
+        monkeypatch.setattr(cli, "MAX_CANONICAL_LETTERS", 11)
+        code = run_cli("endo", "apply", "canonical(1,1)", "S[e1;f1]", "--m", "2", "--n", "3")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: canonical(1,1) on 2x3 writes 2^1*3^1 words of 2 letters, "
+            "capped at 11 letters for cost control\n"
+        )
+        monkeypatch.setattr(cli, "MAX_CANONICAL_LETTERS", 12)
+        assert run_cli("endo", "apply", "canonical(1,1)", "S[e1;f1]", "--m", "2", "--n", "3") == 0
+
+    @pytest.mark.parametrize("size", ["1", "2"])
+    def test_canonical_refuses_huge_degrees_without_building_the_power(self, capsys, size):
+        # on 1x1 one word of 2 * 10^9 letters; on 2x2 2^(2 * 10^9) words
+        code = run_cli("endo", "apply", "canonical(1000000000,1000000000)", "I",
+                       "--m", size, "--n", size)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: canonical(1000000000,1000000000) on {size}x{size} writes ")
+        assert err.count("\n") == 1
+
 
 class TestBooleanCommands:
     def test_twisted_pass(self, capsys):

@@ -1,0 +1,74 @@
+"""Random commutation tables (m, n <= 3) through every layer above the
+kernel: the product, the oracle, the state, and twisted pairs with their
+endomorphisms. The fixture tables are three points of this space; each test
+here draws a fresh table and a seed for the elements."""
+
+from hypothesis import given, settings, strategies as st
+
+from twograph.algebra import Element, mul
+from twograph.endo import (
+    Endomorphism,
+    canonical_pair,
+    inner_pair,
+    pair_from_generator_map,
+    twisted_check,
+)
+from twograph.modular import kms_check
+from twograph.oracle import GradedActionModel
+from twograph.sampling import random_element, random_unitary, rng_from_seed
+
+from conftest import random_theta
+
+SEEDS = st.integers(0, 2**16)
+FEW = settings(max_examples=25, deadline=None)
+
+
+@FEW
+@given(theta=random_theta(), seed=SEEDS)
+def test_associativity(theta, seed):
+    rng = rng_from_seed(seed)
+    a, b, c = (random_element(rng, theta, (1, 1)) for _ in range(3))
+    assert (mul(mul(a, b), c) - mul(a, mul(b, c))).is_zero()
+
+
+@FEW
+@given(theta=random_theta(), seed=SEEDS)
+def test_product_agrees_with_the_oracle(theta, seed):
+    rng = rng_from_seed(seed)
+    # the product's v-degrees reach (2, 2), so the evaluation stratum is (3, 3)
+    # and two actions of degree (1, 1) terms climb to (5, 5)
+    model = GradedActionModel(theta, window=5)
+    a, b = random_element(rng, theta, (1, 1)), random_element(rng, theta, (1, 1))
+    assert model.product_agrees(a, b, mul(a, b))
+
+
+@FEW
+@given(theta=random_theta(), seed=SEEDS)
+def test_kms_exact(theta, seed):
+    rng = rng_from_seed(seed)
+    a, b = random_element(rng, theta, (1, 1)), random_element(rng, theta, (1, 1))
+    ok, lhs, rhs = kms_check(a, b)
+    assert ok, (str(lhs), str(rhs))
+
+
+@settings(max_examples=10, deadline=None)
+@given(theta=random_theta())
+def test_canonical_pairs_are_twisted_and_round_trip(theta):
+    for p, q in ((1, 0), (0, 1), (1, 1)):
+        pair = canonical_pair(theta, p, q)
+        assert twisted_check(pair.U, pair.V)[0]
+        e_images, f_images = Endomorphism(pair).generator_images()
+        assert pair_from_generator_map(theta, e_images, f_images).equals(pair)
+
+
+@FEW
+@given(theta=random_theta(), seed=SEEDS)
+def test_inner_pair_round_trips_and_is_multiplicative(theta, seed):
+    rng = rng_from_seed(seed)
+    pair = inner_pair(random_unitary(rng, theta))
+    lam = Endomorphism(pair)
+    e_images, f_images = lam.generator_images()
+    assert pair_from_generator_map(theta, e_images, f_images).equals(pair)
+    x, y = random_element(rng, theta, (1, 1)), random_element(rng, theta, (1, 1))
+    assert lam.apply(mul(x, y)) == mul(lam.apply(x), lam.apply(y))
+    assert lam.apply(Element.unit(theta)) == Element.unit(theta)

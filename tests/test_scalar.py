@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twograph import scalar
 from twograph.scalar import ExactScalar, power_of_base
 from twograph.semigroup import Permutation2D
 
@@ -49,6 +50,25 @@ def test_power_of_base_additive_in_z(id23):
     a = power_of_base(id23, (1, -1), half)
     b = power_of_base(id23, (1, -1), Fraction(1, 3))
     assert a * b == power_of_base(id23, (1, -1), Fraction(5, 6))
+
+
+def test_power_of_base_is_memoized_on_the_counts(id23, mixed23, id22):
+    # keyed by (m, n, delta, z): another table with the same counts and an
+    # int z equal to the Fraction hit the same entry
+    first = power_of_base(id23, (2, -1), Fraction(1))
+    assert first == ExactScalar.rational(Fraction(4, 3))
+    assert power_of_base(mixed23, [2, -1], 1) is first
+    assert power_of_base(id22, (2, -1), 1) == ExactScalar.rational(2)
+    assert scalar._power_of_base.cache_info().maxsize is not None
+
+
+def test_fold_inserts_merges_and_cancels_monomials():
+    # products fold 2^(1/2) * 2^(1/2) into 2 and merge or cancel the cross terms
+    r2 = ExactScalar.root(2, half)
+    one = ExactScalar.one()
+    assert (r2 + one) * (r2 - one) == one
+    assert (r2 + one) * (r2 + one) == ExactScalar.rational(3) + ExactScalar.rational(2) * r2
+    assert str(ExactScalar.root(6, Fraction(5, 2))) == "36*2^(1/2)*3^(1/2)"
 
 
 def test_to_complex():

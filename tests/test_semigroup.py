@@ -13,7 +13,6 @@ from twograph.errors import (
 )
 from twograph.semigroup import (
     EMPTY_WORD,
-    Permutation2D,
     Word,
     common_extensions,
     concat,
@@ -27,6 +26,8 @@ from twograph.semigroup import (
     words_up_to,
 )
 from twograph.suites import brute_force_common_extensions, naive_normal_form
+
+from conftest import random_theta
 
 
 class TestMakeTheta:
@@ -206,14 +207,6 @@ class TestCommonExtensions:
             v = Word((), tuple(rng.randint(1, theta.n) for _ in range(2)))
             for w1, w2 in common_extensions(theta, u, v):
                 assert concat(theta, v, w1) == concat(theta, u, w2)
-
-
-@st.composite
-def random_theta(draw):
-    """A random permutation table with m, n <= 3."""
-    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-    return Permutation2D(m, n, dict(zip(pairs, draw(st.permutations(pairs)))))
 
 
 @settings(max_examples=120, deadline=None)
