@@ -54,8 +54,9 @@ class GenTerm(NamedTuple):
 
     @property
     def degree(self) -> Degree:
-        """d(u) - d(v), an integer pair."""
-        return deg_sub(self.u.degree, self.v.degree)
+        """d(u) - d(v), an integer pair, read off the four block lengths."""
+        u, v = self
+        return (len(u.e_block) - len(v.e_block), len(u.f_block) - len(v.f_block))
 
     @property
     def key(self):
@@ -376,12 +377,18 @@ def gauge(a: Element, t) -> Element:
 
 
 def gauge_float(a: Element, t: tuple[complex, complex]) -> dict[GenTerm, complex]:
-    """Float-mode torus action; returns coefficient map, not an Element."""
+    """Float-mode torus action; returns coefficient map, not an Element.
+
+    The powers t1^d1 and t2^d2 are computed once per degree difference."""
     t1, t2 = complex(t[0]), complex(t[1])
+    powers: dict[Degree, tuple[complex, complex]] = {}
     out = {}
     for term, c in a._terms.items():
-        d1, d2 = term.degree
-        out[term] = c.to_complex() * t1 ** d1 * t2 ** d2
+        d = term.degree
+        pw = powers.get(d)
+        if pw is None:
+            pw = powers[d] = (t1 ** d[0], t2 ** d[1])
+        out[term] = c.to_complex() * pw[0] * pw[1]
     return out
 
 

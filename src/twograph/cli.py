@@ -42,6 +42,10 @@ MAX_SPECTRUM_POINTS = 40401
 # `canonical(p,q)` writes m^p n^q words of p + q letters each; 10368 letters is
 # canonical(4,4) on 2x3 (1296 words, about 1 s to apply to a generator)
 MAX_CANONICAL_LETTERS = 10368
+# every suite loops over --samples draws; `check all` on identity 2x3 at level
+# 2,2 costs about 15 ms a sample (1.9 s at 40, 4.2 s at 200), so 10000 is
+# about 2.5 min
+MAX_SAMPLES = 10000
 
 
 class _Output:
@@ -136,6 +140,8 @@ def _load_config(args) -> Permutation2D:
         raise TwoGraphError(f"level capped at {MAX_LEVEL} for cost control")
     if args.samples < 1:
         raise TwoGraphError("samples must be >= 1")
+    if args.samples > MAX_SAMPLES:
+        raise TwoGraphError(f"samples capped at {MAX_SAMPLES} for cost control")
     if not (math.isfinite(args.float_tol) and args.float_tol > 0):
         raise TwoGraphError("float-tol must be finite and > 0")
     return theta

@@ -13,6 +13,10 @@ class IndexOutOfRange(TwoGraphError):
     """A generator index lies outside [1..m] or [1..n]."""
 
 
+class TableTooLarge(TwoGraphError):
+    """The table would hold more index pairs than the m*n cap allows."""
+
+
 class FlipRequiresSquare(TwoGraphError):
     """The flip table e_i f_j = f_i e_j only exists when m = n."""
 

@@ -77,16 +77,22 @@ def modular_flow(t, a: Element):
     exact grading s_u s_v* -> m^a n^b s_u s_v*, (a, b) = d(u) - d(v), and an
     Element is returned. At real t the phases m^(-ita) n^(-itb) are
     irrational, so a float coefficient map {term: complex} is returned
-    instead.
+    instead. The phase depends only on the degree difference, so it is
+    computed once per degree difference per call; the coefficient's double
+    is cached on the scalar (`ExactScalar.to_complex`).
     """
     if t == "i":
         return _scale_terms(a, 1, swap=False)
     t = float(t)
     lm, ln = math.log(a.theta.m), math.log(a.theta.n)
+    phases: dict[Degree, complex] = {}
     out = {}
     for term, c in a._terms.items():
-        (du1, du2), (dv1, dv2) = term.u.degree, term.v.degree
-        phase = cmath.exp(1j * t * (lm * (dv1 - du1) + ln * (dv2 - du2)))
+        d = term.degree
+        phase = phases.get(d)
+        if phase is None:
+            # (-d1, -d2) = d(v) - d(u)
+            phase = phases[d] = cmath.exp(1j * t * (lm * -d[0] + ln * -d[1]))
         out[term] = c.to_complex() * phase
     return out
 

@@ -78,7 +78,7 @@ def _canon_terms(raw: Iterable[tuple[dict[int, Fraction], Gaussian]]) -> dict[Mo
 class ExactScalar:
     """Immutable element of the coefficient ring, always in canonical form."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_complex")
 
     def __init__(self, terms: dict[Monomial, Gaussian], _canonical: bool = False):
         if not _canonical:
@@ -87,6 +87,7 @@ class ExactScalar:
             )
         self._terms = terms
         self._hash = None
+        self._complex = None
 
     # --- constructors -----------------------------------------------------
     # zero() and one() return interned instances so the arithmetic fast
@@ -270,14 +271,20 @@ class ExactScalar:
 
     def to_complex(self) -> complex:
         """Double-precision value; error is a few ulp per term (each term is a
-        product of one float pow per prime and one complex multiply)."""
-        total = 0j
-        for mono, (re, im) in self._terms.items():
-            val = complex(re) + complex(im) * 1j
-            for p, r in mono:
-                val *= math.pow(p, float(r))
-            total += val
-        return total
+        product of one float pow per prime and one complex multiply).
+
+        Each rational part is converted once as numerator / denominator (the
+        correctly rounded double, as `float(Fraction)`), and the result is
+        cached on the scalar, so a repeat call costs one attribute read."""
+        if self._complex is None:
+            total = 0j
+            for mono, (re, im) in self._terms.items():
+                val = complex(re.numerator / re.denominator, im.numerator / im.denominator)
+                for p, r in mono:
+                    val *= math.pow(p, float(r))
+                total += val
+            self._complex = total
+        return self._complex
 
     # --- printing ---------------------------------------------------------
 

@@ -22,7 +22,7 @@ from twograph.algebra import (
 from twograph.errors import NotAPermutation, NotUnitModulus, ThetaMismatch
 from twograph.sampling import random_element, rng_from_seed
 from twograph.scalar import ExactScalar
-from twograph.semigroup import EMPTY_WORD, Word, common_extensions, concat, word
+from twograph.semigroup import EMPTY_WORD, Word, common_extensions, concat, deg_sub, word
 
 from conftest import random_theta
 
@@ -79,6 +79,20 @@ def random_operand(draw, theta):
         re, im = draw(st.integers(-2, 2)), draw(st.integers(-1, 1))
         _accumulate(terms, GenTerm(draw_word(), draw_word()), ExactScalar.gaussian(re, im))
     return Element(theta, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_term_degree_is_the_difference_of_word_degrees(data):
+    theta = data.draw(random_theta())
+
+    def draw_word():
+        a, b = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        return Word(tuple(data.draw(st.integers(1, theta.m)) for _ in range(a)),
+                    tuple(data.draw(st.integers(1, theta.n)) for _ in range(b)))
+
+    u, v = draw_word(), draw_word()
+    assert GenTerm(u, v).degree == deg_sub(u.degree, v.degree)
 
 
 class TestMul:

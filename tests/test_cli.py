@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from twograph import cli
+from twograph import cli, semigroup
 from twograph.cli import main, parse_pair_spec
 from twograph.endo import canonical_pair, gallery
 from twograph.semigroup import theta_text
@@ -198,6 +198,35 @@ class TestConfigErrors:
     def test_bad_samples(self, capsys):
         code = run_cli("nf", "e1", "--samples", "0")
         assert code == 2
+
+    def test_samples_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SAMPLES", 3)
+        assert run_cli("nf", "e1", "--samples", "3") == 0
+        capsys.readouterr()
+        assert run_cli("nf", "e1", "--samples", "4") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: samples capped at 3 for cost control\n"
+
+    def test_table_size_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(semigroup, "MAX_TABLE_PAIRS", 5)
+        assert run_cli("nf", "e1", "--m", "1", "--n", "5") == 0
+        capsys.readouterr()
+        assert run_cli("nf", "e1", "--m", "2", "--n", "3") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: table 2x3 has 6 index pairs, capped at 5 for cost control\n"
+        )
+
+    def test_table_size_cap_covers_a_builtin_table_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(semigroup, "MAX_TABLE_PAIRS", 3)
+        path = tmp_path / "flip22.txt"
+        path.write_text("m 2\nn 2\nbuiltin flip\n")
+        assert run_cli("nf", "e1", "--theta", str(path)) == 2
+        assert capsys.readouterr().err == (
+            "error: table 2x2 has 4 index pairs, capped at 3 for cost control\n"
+        )
 
     def test_syntax_error_exit(self, capsys):
         code = run_cli("omega", "S[e1;]", "--m", "2", "--n", "2")

@@ -1,8 +1,10 @@
 """State values, modular operators, equilibrium identity, spectra."""
 
+import struct
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from twograph.algebra import Element, gauge, gauge_float, mul
 from twograph.modular import (
@@ -33,6 +35,8 @@ from twograph.semigroup import (
     word,
     words_up_to,
 )
+
+from conftest import random_theta
 
 half = Fraction(1, 2)
 
@@ -194,6 +198,26 @@ class TestModularFlow:
                     gauged = gauge_float(x, point)
                     for term in flowed:
                         assert abs(flowed[term] - gauged[term]) < 1e-12
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+@settings(max_examples=50, deadline=None)
+@given(theta=random_theta(), seed=st.integers(0, 2**16),
+       t=st.floats(-20, 20, allow_nan=False))
+def test_float_maps_on_many_terms_equal_the_single_term_results(theta, seed, t):
+    """Phases and torus powers shared by the terms of one degree difference
+    give each term the double it gets when it is mapped alone."""
+    x = random_element(rng_from_seed(seed), theta, (2, 2), terms=8)
+    point = (theta.m ** (-1j * t), theta.n ** (-1j * t))
+    flowed, gauged = modular_flow(t, x), gauge_float(x, point)
+    assert list(flowed) == list(gauged) == list(x._terms)
+    for term, c in x._terms.items():
+        alone = Element(theta, {term: c})
+        assert _bits(flowed[term]) == _bits(modular_flow(t, alone)[term])
+        assert _bits(gauged[term]) == _bits(gauge_float(alone, point)[term])
 
 
 class TestKms:

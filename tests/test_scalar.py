@@ -1,6 +1,7 @@
 """Exact scalar ring: canonical form, arithmetic laws, numeric view."""
 
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,43 @@ def test_float_view_is_additive(a):
     z = a.to_complex()
     w = (a + a).to_complex()
     assert abs(w - 2 * z) <= 1e-9 * max(1.0, abs(z))
+
+
+def _old_to_complex(x):
+    """The double as computed before the cache: each rational part through
+    float(Fraction), combined as complex(re) + complex(im) * 1j."""
+    total = 0j
+    for mono, (re, im) in x._terms.items():
+        val = complex(re) + complex(im) * 1j
+        for p, r in mono:
+            val *= math.pow(p, float(r))
+        total += val
+    return total
+
+
+def _bits(z):
+    """The two doubles of z, bit for bit (so 0.0 and -0.0 differ)."""
+    return struct.pack("<dd", z.real, z.imag)
+
+
+gaussians = st.builds(ExactScalar.gaussian, st.fractions(), st.fractions())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(scalars(), gaussians))
+def test_to_complex_is_the_old_formula_bit_for_bit(a):
+    expected = _bits(_old_to_complex(a))
+    first = a.to_complex()
+    assert _bits(first) == expected
+    assert a.to_complex() is first
+    assert _bits(ExactScalar(dict(a._terms), _canonical=True).to_complex()) == expected
+
+
+def test_to_complex_keeps_the_sign_of_zero_parts():
+    for x in (ExactScalar.gaussian(0, -1), ExactScalar.gaussian(-3, 0),
+              ExactScalar.gaussian(0, -1) * ExactScalar.root(2, half),
+              ExactScalar.gaussian(-1, -1) * ExactScalar.root(6, Fraction(-1, 3))):
+        assert _bits(x.to_complex()) == _bits(_old_to_complex(x))
 
 
 def test_printing_is_sorted_and_stable():

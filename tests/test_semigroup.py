@@ -5,11 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twograph import semigroup
 from twograph.errors import (
     DegreeTooLarge,
     FlipRequiresSquare,
     IndexOutOfRange,
     NotABijection,
+    TableTooLarge,
 )
 from twograph.semigroup import (
     EMPTY_WORD,
@@ -42,6 +44,18 @@ class TestMakeTheta:
     def test_flip_requires_square(self):
         with pytest.raises(FlipRequiresSquare):
             make_theta(2, 3, "flip")
+
+    def test_table_over_the_cap_refused_before_its_entries_are_read(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "MAX_TABLE_PAIRS", 3)
+
+        def entries():
+            raise AssertionError("entries read")
+            yield
+
+        for spec in ("identity", "flip", entries()):
+            with pytest.raises(TableTooLarge):
+                make_theta(2, 2, spec)
+        assert make_theta(1, 3, "identity").m == 1
 
     def test_duplicate_image_rejected(self):
         with pytest.raises(NotABijection):

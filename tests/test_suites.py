@@ -2,7 +2,10 @@
 
 import pytest
 
-from twograph.suites import SUITE_NAMES, run_suite
+from twograph import modular
+from twograph.algebra import GenTerm
+from twograph.semigroup import word
+from twograph.suites import SUITE_NAMES, kms_suite, run_suite
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -32,3 +35,28 @@ def test_reports_are_deterministic(id23):
                        float_tol=1e-9)
     assert [(c.case_id, c.passed, c.detail) for r in first for c in r.cases] == \
         [(c.case_id, c.passed, c.detail) for r in second for c in r.cases]
+
+
+def _flow_gauge_detail(theta):
+    report = kms_suite(theta, seed=0, level=(2, 2), samples=2, float_tol=1e-9)
+    (case,) = [c for c in report.cases if c.case_id == "flow-equals-gauge-float"]
+    return case.detail
+
+
+def test_flow_equals_gauge_float_names_its_first_witness(flip22, monkeypatch):
+    # 49 words up to (2, 2) on flip 2x2: 49^2 terms at each of 3 times
+    assert _flow_gauge_detail(flip22) == "7203/7203 exact"
+    target = GenTerm(word(flip22, "e2.f1"), word(flip22, "f2"))
+    original = modular.modular_flow
+
+    def shifted(t, a):
+        out = original(t, a)
+        if t == 1.0 and target in out:
+            out[target] += 1e-6
+        return out
+
+    monkeypatch.setattr(modular, "modular_flow", shifted)
+    assert _flow_gauge_detail(flip22) == (
+        "7202/7203 exact; first witness: t=1.0 term=S[e2.f1;f2] "
+        "residual=1.0000000000287557e-06"
+    )
