@@ -5,15 +5,24 @@ modular machinery lives in the ring of finite sums
 
     sum over k of (a_k + b_k i) * prod over primes p of p^(r_{k,p})
 
-with a_k, b_k rational and r_{k,p} rational. Canonical form keeps each
-exponent's fractional part in [0, 1) (integer parts are folded into the
-rational coefficient), stores bases prime-factorized, and merges equal
-monomials. Zero-testing is then structural: monomials with distinct
+with a_k, b_k rational and r_{k,p} rational. Each Gaussian coefficient
+a_k + b_k i is stored as one int triple (re, im, den) with value
+(re + im i)/den, den > 0 and gcd(re, im, den) == 1, so sums and products
+run on ints with one gcd per result. Canonical form keeps each exponent's
+fractional part in [0, 1) (an integer part k is folded into the
+coefficient: p^k multiplies re and im for k > 0, p^-k multiplies den for
+k < 0), stores bases prime-factorized, and merges equal monomials.
+Zero-testing and equality are then structural: monomials with distinct
 fractional exponent vectors over distinct primes are linearly independent
-over the Gaussian rationals, so a scalar is zero iff it has no terms.
+over the Gaussian rationals, so a scalar is zero iff it has no terms, and
+two scalars are equal iff their term dicts are. That needs every triple
+reduced: (1, 0, 1) and (2, 0, 2) are the same coefficient.
 
 Prime-factorizing the bases matters: with base counts 4 and 2 the products
 4^a * 2^b collide (4 * 2^-2 = 1) and only the factored form detects it.
+
+The public surface speaks `Fraction`: `rational`, `gaussian`, `as_gaussian`
+and `sorted_terms` take or give (re, im) pairs of Fractions.
 """
 
 from __future__ import annotations
@@ -24,10 +33,10 @@ from functools import lru_cache
 from typing import Iterable
 
 Monomial = tuple[tuple[int, Fraction], ...]  # ((prime, fractional exponent), ...)
+Coeff = tuple[int, int, int]  # (re, im, den): (re + im i)/den, den > 0, gcd(re, im, den) == 1
 Gaussian = tuple[Fraction, Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _factorize(k: int) -> dict[int, int]:
@@ -46,33 +55,58 @@ def _factorize(k: int) -> dict[int, int]:
     return out
 
 
-def _canon_terms(raw: Iterable[tuple[dict[int, Fraction], Gaussian]]) -> dict[Monomial, Gaussian]:
-    """Fold integer exponent parts into coefficients and merge monomials."""
-    acc: dict[Monomial, Gaussian] = {}
-    for exps, (re, im) in raw:
-        scale = _ONE
+def _reduced(re: int, im: int, den: int) -> Coeff:
+    """The triple divided by gcd(re, im, den); den stays positive."""
+    g = math.gcd(re, im, den)
+    if g == 1:
+        return (re, im, den)
+    return (re // g, im // g, den // g)
+
+
+def _sum(x: Coeff, y: Coeff) -> Coeff:
+    """x + y, not reduced."""
+    a, b, d = x
+    c, e, f = y
+    if d == f:
+        return (a + c, b + e, d)
+    return (a * f + c * d, b * f + e * d, d * f)
+
+
+def _fractions(coeff: Coeff) -> Gaussian:
+    re, im, den = coeff
+    return Fraction(re, den), Fraction(im, den)
+
+
+def _canon_terms(raw: Iterable[tuple[dict[int, Fraction], Coeff]]) -> dict[Monomial, Coeff]:
+    """Fold integer exponent parts into coefficients, merge monomials and
+    reduce each surviving coefficient once. The raw triples need not be
+    reduced; a merge that cancels deletes the monomial, so the dict keeps
+    the order in which monomials first survive (`to_complex` sums in it)."""
+    acc: dict[Monomial, Coeff] = {}
+    for exps, (re, im, den) in raw:
+        if not (re or im):
+            continue
         mono_items = []
         for p, r in sorted(exps.items()):
             whole = r.numerator // r.denominator  # floor
-            if whole:
-                scale *= Fraction(p) ** whole
+            if whole > 0:
+                scale = p ** whole
+                re, im = re * scale, im * scale
+            elif whole < 0:
+                den *= p ** -whole
             if r != whole:
                 mono_items.append((p, r - whole))
         mono = tuple(mono_items)
-        if scale is not _ONE:
-            re, im = re * scale, im * scale
-        if not (re or im):
-            continue
         prev = acc.get(mono)
         if prev is None:
-            acc[mono] = (re, im)
+            acc[mono] = (re, im, den)
             continue
-        nre, nim = prev[0] + re, prev[1] + im
-        if nre or nim:
-            acc[mono] = (nre, nim)
+        total = _sum(prev, (re, im, den))
+        if total[0] or total[1]:
+            acc[mono] = total
         else:
             del acc[mono]
-    return acc
+    return {mono: _reduced(*coeff) for mono, coeff in acc.items()}
 
 
 class ExactScalar:
@@ -80,11 +114,9 @@ class ExactScalar:
 
     __slots__ = ("_terms", "_hash", "_complex")
 
-    def __init__(self, terms: dict[Monomial, Gaussian], _canonical: bool = False):
-        if not _canonical:
-            terms = _canon_terms(
-                (dict(mono), coeff) for mono, coeff in terms.items()
-            )
+    def __init__(self, terms: dict[Monomial, Coeff]):
+        """`terms` must already be canonical; other input goes through
+        `_from_raw`."""
         self._terms = terms
         self._hash = None
         self._complex = None
@@ -104,7 +136,7 @@ class ExactScalar:
             return _ZERO_SCALAR
         if x == 1:
             return _ONE_SCALAR
-        return cls({(): (x, _ZERO)}, _canonical=True)
+        return cls({(): (x.numerator, 0, x.denominator)})
 
     @classmethod
     def one(cls) -> "ExactScalar":
@@ -115,7 +147,12 @@ class ExactScalar:
         re, im = Fraction(re), Fraction(im)
         if im == 0:
             return cls.rational(re)
-        return cls({(): (re, im)}, _canonical=True)
+        # already reduced: a prime p of den = lcm(q_re, q_im) has its full
+        # power in one of the two q, and that part's numerator and den // q
+        # are both prime to p
+        den = math.lcm(re.denominator, im.denominator)
+        return cls({(): (re.numerator * (den // re.denominator),
+                         im.numerator * (den // im.denominator), den)})
 
     @classmethod
     def imag_unit(cls) -> "ExactScalar":
@@ -126,7 +163,7 @@ class ExactScalar:
         """base^exponent for a positive integer base and rational exponent."""
         exponent = Fraction(exponent)
         exps = {p: a * exponent for p, a in _factorize(base).items()}
-        return cls._from_raw([(exps, (_ONE, _ZERO))])
+        return cls._from_raw([(exps, (1, 0, 1))])
 
     @classmethod
     def _from_raw(cls, raw) -> "ExactScalar":
@@ -135,7 +172,7 @@ class ExactScalar:
             return _ZERO_SCALAR
         if terms == _ONE_TERMS:
             return _ONE_SCALAR
-        return cls(terms, _canonical=True)
+        return cls(terms)
 
     # --- structure --------------------------------------------------------
 
@@ -155,11 +192,11 @@ class ExactScalar:
         if not self._terms:
             return (_ZERO, _ZERO)
         if len(self._terms) == 1 and () in self._terms:
-            return self._terms[()]
+            return _fractions(self._terms[()])
         return None
 
     def sorted_terms(self) -> list[tuple[Monomial, Gaussian]]:
-        return sorted(self._terms.items())
+        return [(mono, _fractions(coeff)) for mono, coeff in sorted(self._terms.items())]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -170,7 +207,7 @@ class ExactScalar:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(self.sorted_terms()))
+            self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
     # --- arithmetic ---------------------------------------------------------
@@ -184,21 +221,22 @@ class ExactScalar:
         if not other._terms:
             return self
         acc = dict(self._terms)
-        for m, (re, im) in other._terms.items():
-            ore, oim = acc.get(m, (_ZERO, _ZERO))
-            nre, nim = ore + re, oim + im
-            if nre or nim:
-                acc[m] = (nre, nim)
-            elif m in acc:
+        for m, coeff in other._terms.items():
+            prev = acc.get(m)
+            if prev is None:
+                acc[m] = coeff
+                continue
+            re, im, den = _sum(prev, coeff)
+            if re or im:
+                acc[m] = _reduced(re, im, den)
+            else:
                 del acc[m]
-        return ExactScalar(acc, _canonical=True)
+        return ExactScalar(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(
-            {m: (-re, -im) for m, (re, im) in self._terms.items()}, _canonical=True
-        )
+        return ExactScalar({m: (-re, -im, den) for m, (re, im, den) in self._terms.items()})
 
     def __sub__(self, other) -> "ExactScalar":
         other = _coerce(other)
@@ -223,35 +261,35 @@ class ExactScalar:
         if other is _ONE_SCALAR or other._terms == _ONE_TERMS:
             return self
         raw = []
-        for m1, (a, b) in self._terms.items():
+        for m1, (a, b, d) in self._terms.items():
             d1 = dict(m1)
-            for m2, (c, d) in other._terms.items():
+            for m2, (c, e, f) in other._terms.items():
                 exps = dict(d1)
                 for p, r in m2:
                     exps[p] = exps.get(p, _ZERO) + r
-                raw.append((exps, (a * c - b * d, a * d + b * c)))
+                raw.append((exps, (a * c - b * e, a * e + b * c, d * f)))
         return ExactScalar._from_raw(raw)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "ExactScalar":
         """Complex conjugation; monomials are positive reals, so they are fixed."""
-        for _, im in self._terms.values():
+        for _, im, _ in self._terms.values():
             if im:
                 return ExactScalar(
-                    {m: (re, -im) for m, (re, im) in self._terms.items()},
-                    _canonical=True,
+                    {m: (re, -im, den) for m, (re, im, den) in self._terms.items()}
                 )
         return self
 
     def inverse(self) -> "ExactScalar":
-        """Multiplicative inverse; defined for single-term scalars only."""
+        """Multiplicative inverse; defined for single-term scalars only.
+
+        den / (re + im i) = den (re - im i) / (re^2 + im^2)."""
         if len(self._terms) != 1:
             raise ZeroDivisionError("can only invert single-term scalars")
-        ((mono, (re, im)),) = self._terms.items()
-        norm = re * re + im * im
+        ((mono, (re, im, den)),) = self._terms.items()
         exps = {p: -r for p, r in mono}
-        return ExactScalar._from_raw([(exps, (re / norm, -im / norm))])
+        return ExactScalar._from_raw([(exps, (re * den, -im * den, re * re + im * im))])
 
     def __pow__(self, k: int) -> "ExactScalar":
         if not isinstance(k, int):
@@ -273,13 +311,14 @@ class ExactScalar:
         """Double-precision value; error is a few ulp per term (each term is a
         product of one float pow per prime and one complex multiply).
 
-        Each rational part is converted once as numerator / denominator (the
-        correctly rounded double, as `float(Fraction)`), and the result is
-        cached on the scalar, so a repeat call costs one attribute read."""
+        Each part is converted once as re / den, which int true division
+        rounds correctly (the double `float(Fraction(re, den))` gives), and
+        the result is cached on the scalar, so a repeat call costs one
+        attribute read."""
         if self._complex is None:
             total = 0j
-            for mono, (re, im) in self._terms.items():
-                val = complex(re.numerator / re.denominator, im.numerator / im.denominator)
+            for mono, (re, im, den) in self._terms.items():
+                val = complex(re / den, im / den)
                 for p, r in mono:
                     val *= math.pow(p, float(r))
                 total += val
@@ -292,7 +331,7 @@ class ExactScalar:
         if not self._terms:
             return "0"
         parts = []
-        for mono, coeff in self.sorted_terms():
+        for mono, coeff in sorted(self._terms.items()):
             parts.append(_term_str(mono, coeff))
         out = parts[0]
         for piece in parts[1:]:
@@ -306,9 +345,9 @@ class ExactScalar:
         return f"ExactScalar({self})"
 
 
-_ONE_TERMS: dict[Monomial, Gaussian] = {(): (_ONE, _ZERO)}
-_ZERO_SCALAR = ExactScalar({}, _canonical=True)
-_ONE_SCALAR = ExactScalar(dict(_ONE_TERMS), _canonical=True)
+_ONE_TERMS: dict[Monomial, Coeff] = {(): (1, 0, 1)}
+_ZERO_SCALAR = ExactScalar({})
+_ONE_SCALAR = ExactScalar(dict(_ONE_TERMS))
 
 
 def _coerce(x) -> ExactScalar | None:
@@ -319,8 +358,8 @@ def _coerce(x) -> ExactScalar | None:
     return None
 
 
-def _term_str(mono: Monomial, coeff: Gaussian) -> str:
-    re, im = coeff
+def _term_str(mono: Monomial, coeff: Coeff) -> str:
+    re, im = _fractions(coeff)
     if im == 0:
         g = str(re)
     elif re == 0:

@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
-from twograph import cli, semigroup
+from twograph import cli, endo, semigroup
+from twograph.algebra import Element, permutation_unitary
 from twograph.cli import main, parse_pair_spec
-from twograph.endo import canonical_pair, gallery
-from twograph.semigroup import theta_text
+from twograph.endo import canonical_pair, gallery, twisted_check
+from twograph.semigroup import Permutation2D, theta_text
 
 
 def run_cli(*argv):
@@ -188,6 +189,51 @@ class TestCheckCommand:
         _, out1 = capture(capsys, *args)
         _, out2 = capture(capsys, *args)
         assert out1 == out2
+
+    @pytest.mark.parametrize("case, target", [
+        ("canonical-pairs-twisted", "canonical_pair"),
+        ("gallery-ex313", "ex313"),
+        ("gallery-ex310-central-scalars", "ex310"),
+    ])
+    def test_a_pair_that_is_not_twisted_fails_its_case(self, case, target, monkeypatch, capsys):
+        # (F, 1) with F the flip-flop of f1 and f2 is not twisted on the
+        # identity table; the case that builds it must fail with its
+        # residual and exit 1, and every other case must still run
+        def untwisted(theta):
+            return permutation_unitary(theta, (0, 1), [1, 0]), Element.unit(theta)
+
+        def broken_canonical(theta, p, q):
+            if (p, q) == (2, 1):
+                return endo.UnitaryPair(*untwisted(theta))
+            return canonical_pair(theta, p, q)
+
+        def broken_gallery(theta, name, **kwargs):
+            if name == target:
+                return endo.UnitaryPair(*untwisted(theta))
+            return gallery(theta, name, **kwargs)
+
+        args = ("check", "endo", "--m", "2", "--n", "2", "--theta", "identity",
+                "--samples", "4", "--level", "1,1")
+        code, out = capture(capsys, *args)
+        assert code == 0
+        expected_ids = [ln.split(": ")[0] for ln in out.splitlines() if ln.startswith("case.")]
+        if target == "canonical_pair":
+            monkeypatch.setattr(endo, "canonical_pair", broken_canonical)
+        else:
+            monkeypatch.setattr(endo, "gallery", broken_gallery)
+        code, out = capture(capsys, *args)
+        assert code == 1
+        lines = [ln for ln in out.splitlines() if ln.startswith("case.")]
+        assert [ln.split(": ")[0] for ln in lines] == expected_ids
+        ok, residual = twisted_check(*untwisted(Permutation2D.identity(2, 2)))
+        assert not ok and not residual.is_empty
+        for ln in lines:
+            if ln.startswith(f"case.endo.{case}: "):
+                assert ln.startswith(f"case.endo.{case}: FAIL ")
+                assert ln.endswith(f"pair is not twisted; residual {residual}")
+            else:
+                assert ": PASS " in ln
+        assert out.endswith("result: FAIL\n")
 
 
 class TestConfigErrors:

@@ -136,9 +136,12 @@ def test_float_view_is_additive(a):
 
 def _old_to_complex(x):
     """The double as computed before the cache: each rational part through
-    float(Fraction), combined as complex(re) + complex(im) * 1j."""
+    float(Fraction), combined as complex(re) + complex(im) * 1j, summed in
+    the order of the term dict."""
+    parts = dict(x.sorted_terms())
     total = 0j
-    for mono, (re, im) in x._terms.items():
+    for mono in x._terms:
+        re, im = parts[mono]
         val = complex(re) + complex(im) * 1j
         for p, r in mono:
             val *= math.pow(p, float(r))
@@ -161,7 +164,7 @@ def test_to_complex_is_the_old_formula_bit_for_bit(a):
     first = a.to_complex()
     assert _bits(first) == expected
     assert a.to_complex() is first
-    assert _bits(ExactScalar(dict(a._terms), _canonical=True).to_complex()) == expected
+    assert _bits(ExactScalar(dict(a._terms)).to_complex()) == expected
 
 
 def test_to_complex_keeps_the_sign_of_zero_parts():
@@ -183,3 +186,161 @@ def test_equality_with_plain_numbers():
     assert ExactScalar.rational(2) == 2
     assert ExactScalar.gaussian(2, 0) == Fraction(2)
     assert hash(ExactScalar.rational(2)) == hash(ExactScalar.gaussian(2, 0))
+
+
+# --- a reference model: {monomial: (re, im)} with Fraction parts -------------
+# Independent of the int triples: each coefficient is a pair of Fractions, and
+# integer exponent parts fold in as Fraction powers of the prime.
+
+FACTORS = {1: {}, 2: {2: 1}, 3: {3: 1}, 6: {2: 1, 3: 1}, 12: {2: 2, 3: 1}}
+
+
+def _ref_fold(exps, re, im):
+    mono = []
+    for p in sorted(exps):
+        r = exps[p]
+        whole = math.floor(r)
+        re, im = re * Fraction(p) ** whole, im * Fraction(p) ** whole
+        if r != whole:
+            mono.append((p, r - whole))
+    return tuple(mono), re, im
+
+
+def _ref_add_term(acc, mono, re, im):
+    old_re, old_im = acc.pop(mono, (Fraction(0), Fraction(0)))
+    re, im = old_re + re, old_im + im
+    if re or im:
+        acc[mono] = (re, im)
+
+
+def ref_add(x, y):
+    acc = dict(x)
+    for mono, (re, im) in y.items():
+        _ref_add_term(acc, mono, re, im)
+    return acc
+
+
+def ref_neg(x):
+    return {mono: (-re, -im) for mono, (re, im) in x.items()}
+
+
+def ref_conj(x):
+    return {mono: (re, -im) for mono, (re, im) in x.items()}
+
+
+def ref_mul(x, y):
+    acc = {}
+    for m1, (a, b) in x.items():
+        for m2, (c, d) in y.items():
+            exps = dict(m1)
+            for p, r in m2:
+                exps[p] = exps.get(p, 0) + r
+            _ref_add_term(acc, *_ref_fold(exps, a * c - b * d, a * d + b * c))
+    return acc
+
+
+def ref_inverse(x):
+    ((mono, (re, im)),) = x.items()
+    norm = re * re + im * im
+    mono, re, im = _ref_fold({p: -r for p, r in mono}, re / norm, -im / norm)
+    return {mono: (re, im)}
+
+
+def ref_gaussian(re, im):
+    return ref_add({}, {(): (Fraction(re), Fraction(im))})
+
+
+def ref_root(base, exponent):
+    mono, re, im = _ref_fold({p: k * exponent for p, k in FACTORS[base].items()},
+                             Fraction(1), Fraction(0))
+    return {mono: (re, im)}
+
+
+def ref_as_gaussian(x):
+    if not x:
+        return (Fraction(0), Fraction(0))
+    return x[()] if list(x) == [()] else None
+
+
+def ref_str(x):
+    if not x:
+        return "0"
+    pieces = []
+    for mono, (re, im) in sorted(x.items()):
+        if im == 0:
+            g = str(re)
+        elif re == 0:
+            g = f"{im}i"
+        else:
+            g = f"({re}{'+' if im > 0 else '-'}{abs(im)}i)"
+        factors = "*".join(f"{p}^({r})" for p, r in mono)
+        if not factors:
+            pieces.append(g)
+        elif g in ("1", "-1"):
+            pieces.append(g[:-1] + factors)
+        else:
+            pieces.append(f"{g}*{factors}")
+    out = pieces[0]
+    for piece in pieces[1:]:
+        out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
+    return out
+
+
+def from_model(x):
+    """The model rebuilt through the public constructors, term by term."""
+    out = ExactScalar.zero()
+    for mono, (re, im) in x.items():
+        term = ExactScalar.gaussian(re, im)
+        for p, r in mono:
+            term = term * ExactScalar.root(p, r)
+        out = out + term
+    return out
+
+
+def assert_matches(x, ref):
+    """x has the model's value, text and Gaussian view, and every stored
+    triple is canonical: int parts, den > 0, gcd(re, im, den) == 1."""
+    for mono, (re, im, den) in x._terms.items():
+        assert type(re) is int and type(im) is int and type(den) is int
+        assert den > 0 and (re or im) and math.gcd(re, im, den) == 1
+        assert all(0 < r < 1 for _, r in mono)
+    assert dict(x.sorted_terms()) == ref
+    assert x.is_zero == (not ref)
+    assert x.as_gaussian() == ref_as_gaussian(ref)
+    assert str(x) == ref_str(ref)
+
+
+# unbounded numerators and denominators next to small ones, so that large
+# denominators and cancelling terms both occur
+parts = st.one_of(small_fracs, st.fractions())
+# base 1 gives a plain Gaussian term
+terms = st.tuples(parts, parts, st.sampled_from([1, 1, 2, 3, 6, 12]),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def scalars_with_model(draw):
+    x, ref = ExactScalar.zero(), {}
+    for re, im, base, exponent in draw(st.lists(terms, max_size=3)):
+        x = x + ExactScalar.gaussian(re, im) * ExactScalar.root(base, exponent)
+        ref = ref_add(ref, ref_mul(ref_gaussian(re, im), ref_root(base, exponent)))
+    return x, ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars_with_model(), scalars_with_model())
+def test_arithmetic_matches_the_fraction_model(left, right):
+    (a, ra), (b, rb) = left, right
+    assert_matches(a, ra)
+    assert_matches(a + b, ref_add(ra, rb))
+    assert_matches(a - b, ref_add(ra, ref_neg(rb)))
+    assert_matches(-a, ref_neg(ra))
+    assert_matches(a * b, ref_mul(ra, rb))
+    assert_matches(a.conjugate(), ref_conj(ra))
+    if len(ra) == 1:
+        assert_matches(a.inverse(), ref_inverse(ra))
+        assert_matches(a * a.inverse(), {(): (Fraction(1), Fraction(0))})
+    assert (a == b) == (ra == rb)
+    rebuilt = from_model(ra)
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    assert ((a + b) - b) == a and hash((a + b) - b) == hash(a)
