@@ -206,12 +206,14 @@ class Element:
     def _is_level_aligned(self) -> bool:
         seen: dict[Degree, Degree] = {}
         for t in self._terms:
+            v = t.v
+            dv = (len(v.e_block), len(v.f_block))
             d = t.degree
             if d in seen:
-                if seen[d] != t.v.degree:
+                if seen[d] != dv:
                     return False
             else:
-                seen[d] = t.v.degree
+                seen[d] = dv
         return True
 
     def is_zero(self) -> bool:
@@ -260,11 +262,13 @@ def _accumulate(acc: dict[GenTerm, ExactScalar], t: GenTerm, c: ExactScalar) -> 
 
 def _prefix(theta: Permutation2D, w: Word, meet: Degree) -> Word:
     """The prefix of w of degree meet <= d(w)."""
-    if meet == w.degree:
+    e, f = w
+    p, q = meet
+    if p == len(e) and q == len(f):
         return w
-    if not meet[1]:
-        # `factor` keeps the first e-letters verbatim
-        return Word(w.e_block[:meet[0]], ())
+    if not q:
+        # a split that takes no f-letter keeps the first e-letters verbatim
+        return Word(e[:p], ())
     return factor_at(theta, w, meet)[0]
 
 
@@ -287,11 +291,12 @@ def mul(a: Element, b: Element) -> Element:
     acc: dict[GenTerm, ExactScalar] = {}
     classes: dict[Degree, list[tuple[int, Word, Word, ExactScalar]]] = {}
     for idx, (t2, c2) in enumerate(b._terms.items()):
-        classes.setdefault(t2.u.degree, []).append((idx, t2.u, t2.v, c2))
+        u2 = t2.u
+        classes.setdefault((len(u2.e_block), len(u2.f_block)), []).append((idx, u2, t2.v, c2))
     buckets: dict[tuple[Degree, Degree], dict[Word, list]] = {}
     for t1, c1 in a._terms.items():
         v1 = t1.v
-        p, q = v1.degree
+        p, q = len(v1.e_block), len(v1.f_block)
         hits = []
         for dc, members in classes.items():
             meet = (min(p, dc[0]), min(q, dc[1]))

@@ -6,6 +6,15 @@ window (W, W):
     s_u s_v* : z  ->  u z'   if z = v z' (unique factorization),
                       nothing otherwise.
 
+`act` and `act_term` are this definition, word by word: they factor z at
+d(v) and keep the image only when the head is v. They are the reference.
+The comparisons use `action`, which gets the same rows by walking
+preimages instead. Unique factorization makes z' -> v z' a bijection from
+the words of degree d(z) - d(v) onto the words of degree d(z) whose head
+is v, so each term visits exactly the rows it acts on, where the
+word-by-word action would factor every word of the stratum to find the
+one in m^p n^q that matches.
+
 On strata of strictly positive degree the defect-free sums act as the
 identity, so comparing the sparse matrix actions of two elements on a high
 enough stratum decides equality of the elements (`oracle_equal`) and
@@ -79,6 +88,33 @@ class GradedActionModel:
                 _add_to(out, image, c)
         return out
 
+    def action(self, a: Element, degree: Degree) -> dict[Word, dict[Word, ExactScalar]]:
+        """The nonzero rows {z: act(a, z)} over the words z of `degree`.
+
+        Each term s_u s_v* with d(v) <= degree walks the tails z' of degree
+        degree - d(v) and adds its coefficient at u z' in row v z'. Raises
+        OutOfWindow exactly when `act` would on a word of `degree`.
+        """
+        rows: dict[Word, dict[Word, ExactScalar]] = {}
+        for t, c in a._terms.items():
+            u, v = t
+            dv = v.degree
+            if not deg_le(dv, degree):
+                continue
+            tail_degree = deg_sub(degree, dv)
+            out_degree = deg_add(tail_degree, u.degree)
+            if not deg_le(out_degree, (self.window, self.window)):
+                raise OutOfWindow(
+                    f"image stratum {out_degree} exceeds window {self.window}"
+                )
+            for tail in self.stratum(tail_degree):
+                z = concat(self.theta, v, tail)
+                row = rows.get(z)
+                if row is None:
+                    row = rows[z] = {}
+                _add_to(row, concat(self.theta, u, tail), c)
+        return {z: row for z, row in rows.items() if row}
+
     def _evaluation_stratum(self, *elements: Element) -> Degree:
         """Max v-degree over all raw terms plus (1, 1), so defect-free sums
         act as the identity (strictly positive headroom everywhere)."""
@@ -91,23 +127,33 @@ class GradedActionModel:
     def oracle_equal(self, a: Element, b: Element) -> bool:
         """Equality of elements via their matrix actions on one stratum."""
         a._require_same_theta(b)
-        stratum_degree = self._evaluation_stratum(a, b)
-        for z in self.stratum(stratum_degree):
-            if self.act(a, z) != self.act(b, z):
-                return False
-        return True
+        degree = self._evaluation_stratum(a, b)
+        self.stratum(degree)  # refuses a stratum beyond the window
+        return self.action(a, degree) == self.action(b, degree)
 
     def product_agrees(self, a: Element, b: Element, product: Element) -> bool:
         """Whether `product` acts as the composed action (b, then a) on the
-        evaluation stratum of all three elements."""
+        evaluation stratum of all three elements.
+
+        The rows of a are built once per degree that b's images reach, on
+        the first image there.
+        """
         a._require_same_theta(b)
         a._require_same_theta(product)
-        for z in self.stratum(self._evaluation_stratum(a, b, product)):
+        degree = self._evaluation_stratum(a, b, product)
+        stratum = self.stratum(degree)
+        b_rows = self.action(b, degree)
+        product_rows = self.action(product, degree)
+        a_rows: dict[Degree, dict[Word, dict[Word, ExactScalar]]] = {}
+        for z in stratum:
             composed: dict[Word, ExactScalar] = {}
-            for mid, c_mid in self.act(b, z).items():
-                for out, c_out in self.act(a, mid).items():
+            for mid, c_mid in b_rows.get(z, {}).items():
+                rows = a_rows.get(mid.degree)
+                if rows is None:
+                    rows = a_rows[mid.degree] = self.action(a, mid.degree)
+                for out, c_out in rows.get(mid, {}).items():
                     _add_to(composed, out, c_mid * c_out)
-            if self.act(product, z) != composed:
+            if product_rows.get(z, {}) != composed:
                 return False
         return True
 
@@ -123,9 +169,11 @@ class GradedActionModel:
                 raise ValueError("trace oracle needs a core element, term "
                                  f"{t} has degree {t.degree}")
             level = max(level, t.v.degree[0], t.v.degree[1])
+        stratum = self.stratum((level, level))
+        rows = self.action(x, (level, level))
         total = ExactScalar.zero()
-        for z in self.stratum((level, level)):
-            diag = self.act(x, z).get(z)
+        for z in stratum:
+            diag = rows.get(z, {}).get(z)
             if diag is not None:
                 total = total + diag
         return total * power_of_base(self.theta, (level, level), -1)

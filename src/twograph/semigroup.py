@@ -231,17 +231,39 @@ def word(theta: Permutation2D, text: str) -> Word:
 
 
 def concat(theta: Permutation2D, w1: Word, w2: Word) -> Word:
-    """Canonical form of the semigroup product w1 * w2."""
-    e, f = kernel.concat(theta._handle, w1.e_block, w1.f_block, w2.e_block, w2.f_block)
-    return Word(e, f)
+    """Canonical form of the semigroup product w1 * w2.
+
+    Only e-letters of w2 passing f-letters of w1 are rewritten; when there
+    are none the blocks are joined as they stand, and an empty operand
+    gives back the other one itself.
+    """
+    e1, f1 = w1
+    e2, f2 = w2
+    if e2 and f1:
+        e, f = kernel.concat(theta._handle, e1, f1, e2, f2)
+        return Word(e, f)
+    if not (e2 or f2):
+        return w1
+    if not (e1 or f1):
+        return w2
+    return Word(e1 + e2, f1 + f2)
 
 
 def factor_at(theta: Permutation2D, w: Word, delta: Degree) -> tuple[Word, Word]:
-    """The unique split w = w1 * w2 with d(w1) = delta."""
+    """The unique split w = w1 * w2 with d(w1) = delta.
+
+    A split that takes no f-letter, or every e-letter, cuts the canonical
+    spelling as it stands; only the others go through the kernel.
+    """
     p, q = delta
-    if not (0 <= p <= len(w.e_block) and 0 <= q <= len(w.f_block)):
+    e, f = w
+    if not (0 <= p <= len(e) and 0 <= q <= len(f)):
         raise DegreeTooLarge(f"cannot take degree {delta} from word of degree {w.degree}")
-    e1, f1, e2, f2 = kernel.factor(theta._handle, w.e_block, w.f_block, p, q)
+    if not q:
+        return Word(e[:p], ()), Word(e[p:], f)
+    if p == len(e):
+        return Word(e, f[:q]), Word((), f[q:])
+    e1, f1, e2, f2 = kernel.factor(theta._handle, e, f, p, q)
     return Word(e1, f1), Word(e2, f2)
 
 

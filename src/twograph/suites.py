@@ -635,35 +635,11 @@ def _gallery_cases(theta, rng, samples, report) -> None:
             failures.append(f"U={u}: flip table must make (U,U) twisted")
     report.add("pair-UU-commutant-criterion", count, failures)
 
-    if is_flip:
-        failures = []
-        pair = en.gallery(theta, "ex312")
-        lam = en.Endomorphism(pair)
-        gens = [Element.gen(theta, Word((i,), ()), EMPTY_WORD) for i in range(1, theta.m + 1)]
-        gens += [Element.gen(theta, Word((), (j,)), EMPTY_WORD) for j in range(1, theta.n + 1)]
-        for g in gens:
-            if not (mul(pair.U, g) - mul(g, pair.U)).is_zero():
-                failures.append(f"centrality at {g}")
-            if not (lam.apply(lam.apply(g)) - g).is_zero():
-                failures.append(f"involution at {g}")
-        # the mixing relation s_{f_j}* s_{e_i} = [i==j] sum_k s_{e_k} s_{f_k}*
-        mixing = Element(theta, {
-            GenTerm(Word((k,), ()), Word((), (k,))): ExactScalar.one()
-            for k in range(1, theta.m + 1)
-        })
-        for i in range(1, theta.m + 1):
-            for j in range(1, theta.n + 1):
-                prod = mul(Element.gen(theta, EMPTY_WORD, Word((), (j,))),
-                           Element.gen(theta, Word((i,), ()), EMPTY_WORD))
-                expected = mixing if i == j else Element.zero(theta)
-                if not (prod - expected).is_zero():
-                    failures.append(f"mixing relation at (i,j)=({i},{j})")
-        if not en.ad_product_check(lam, 1) or not en.ad_product_check(lam, 2):
-            failures.append("cascade identity for the mixing pair")
-        report.add("gallery-ex312", 1, failures)
-
     # the gallery builds each pair through `UnitaryPair`, which decides
     # twistedness and raises NotTwisted with the residual
+    if is_flip:
+        report.add("gallery-ex312", 1, _ex312_failures(theta))
+
     if is_identity and theta.m == theta.n:
         report.add("gallery-ex313", 1, _not_twisted(lambda: en.gallery(theta, "ex313")))
 
@@ -678,6 +654,40 @@ def _gallery_cases(theta, rng, samples, report) -> None:
     scalar_i = Element.unit(theta).scaled(ExactScalar.imag_unit())
     report.add("gallery-ex310-central-scalars", 1,
                _not_twisted(lambda: en.gallery(theta, "ex310", u=scalar_i, v=scalar_i)))
+
+
+def _ex312_failures(theta: Permutation2D) -> list[str]:
+    """The mixing pair of the flip table: centrality, involution, the
+    mixing relation and the cascade identity, or the NotTwisted text with
+    its residual when the gallery's pair is not twisted."""
+    try:
+        pair = en.gallery(theta, "ex312")
+    except NotTwisted as exc:
+        return [str(exc)]
+    failures = []
+    lam = en.Endomorphism(pair)
+    gens = [Element.gen(theta, Word((i,), ()), EMPTY_WORD) for i in range(1, theta.m + 1)]
+    gens += [Element.gen(theta, Word((), (j,)), EMPTY_WORD) for j in range(1, theta.n + 1)]
+    for g in gens:
+        if not (mul(pair.U, g) - mul(g, pair.U)).is_zero():
+            failures.append(f"centrality at {g}")
+        if not (lam.apply(lam.apply(g)) - g).is_zero():
+            failures.append(f"involution at {g}")
+    # the mixing relation s_{f_j}* s_{e_i} = [i==j] sum_k s_{e_k} s_{f_k}*
+    mixing = Element(theta, {
+        GenTerm(Word((k,), ()), Word((), (k,))): ExactScalar.one()
+        for k in range(1, theta.m + 1)
+    })
+    for i in range(1, theta.m + 1):
+        for j in range(1, theta.n + 1):
+            prod = mul(Element.gen(theta, EMPTY_WORD, Word((), (j,))),
+                       Element.gen(theta, Word((i,), ()), EMPTY_WORD))
+            expected = mixing if i == j else Element.zero(theta)
+            if not (prod - expected).is_zero():
+                failures.append(f"mixing relation at (i,j)=({i},{j})")
+    if not en.ad_product_check(lam, 1) or not en.ad_product_check(lam, 2):
+        failures.append("cascade identity for the mixing pair")
+    return failures
 
 
 def _not_twisted(build) -> list[str]:

@@ -10,7 +10,7 @@ from twograph import cli, endo, semigroup
 from twograph.algebra import Element, permutation_unitary
 from twograph.cli import main, parse_pair_spec
 from twograph.endo import canonical_pair, gallery, twisted_check
-from twograph.semigroup import Permutation2D, theta_text
+from twograph.semigroup import theta_text
 
 
 def run_cli(*argv):
@@ -194,11 +194,14 @@ class TestCheckCommand:
         ("canonical-pairs-twisted", "canonical_pair"),
         ("gallery-ex313", "ex313"),
         ("gallery-ex310-central-scalars", "ex310"),
+        ("gallery-ex312", "ex312"),
     ])
     def test_a_pair_that_is_not_twisted_fails_its_case(self, case, target, monkeypatch, capsys):
         # (F, 1) with F the flip-flop of f1 and f2 is not twisted on the
-        # identity table; the case that builds it must fail with its
-        # residual and exit 1, and every other case must still run
+        # identity table nor on the flip table (where ex312 runs); the case
+        # that builds it must fail with its residual and exit 1, and every
+        # other case must still run
+        table = "flip" if target == "ex312" else "identity"
         def untwisted(theta):
             return permutation_unitary(theta, (0, 1), [1, 0]), Element.unit(theta)
 
@@ -212,7 +215,7 @@ class TestCheckCommand:
                 return endo.UnitaryPair(*untwisted(theta))
             return gallery(theta, name, **kwargs)
 
-        args = ("check", "endo", "--m", "2", "--n", "2", "--theta", "identity",
+        args = ("check", "endo", "--m", "2", "--n", "2", "--theta", table,
                 "--samples", "4", "--level", "1,1")
         code, out = capture(capsys, *args)
         assert code == 0
@@ -225,7 +228,7 @@ class TestCheckCommand:
         assert code == 1
         lines = [ln for ln in out.splitlines() if ln.startswith("case.")]
         assert [ln.split(": ")[0] for ln in lines] == expected_ids
-        ok, residual = twisted_check(*untwisted(Permutation2D.identity(2, 2)))
+        ok, residual = twisted_check(*untwisted(semigroup.make_theta(2, 2, table)))
         assert not ok and not residual.is_empty
         for ln in lines:
             if ln.startswith(f"case.endo.{case}: "):

@@ -56,6 +56,32 @@ class TestActTerm:
             assert acc == {z: 1}
 
 
+class TestAction:
+    def test_rows_of_a_generator(self, theta):
+        model = GradedActionModel(theta, window=3)
+        a = gen(theta, "f1", "e1")
+        rows = model.action(a, (1, 1))
+        assert len(rows) == theta.n
+        for z, row in rows.items():
+            assert row == model.act(a, z) and len(row) == 1
+
+    def test_cancelled_rows_are_dropped(self, theta):
+        # 1 - sum_i s_{e_i} s_{e_i}* acts as zero on every word with an e-letter
+        model = GradedActionModel(theta, window=3)
+        x = Element.unit(theta)
+        for i in range(1, theta.m + 1):
+            x = x - gen(theta, f"e{i}", f"e{i}")
+        assert model.action(x, (1, 0)) == {}
+        assert model.action(x, (0, 1)) == {z: {z: ExactScalar.one()}
+                                           for z in enumerate_words(theta, (0, 1))}
+
+    def test_window_overflow_raises(self, theta):
+        model = GradedActionModel(theta, window=1)
+        with pytest.raises(OutOfWindow):
+            model.action(gen(theta, "e1.e2", "id"), (1, 0))
+        assert model.action(gen(theta, "e1.e2", "e1.f1"), (1, 0)) == {}
+
+
 class TestOracleEqual:
     def test_defect_free_identity(self, theta):
         model = GradedActionModel(theta, window=3)

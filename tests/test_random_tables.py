@@ -13,14 +13,17 @@ from twograph.endo import (
     pair_from_generator_map,
     twisted_check,
 )
+from twograph.errors import OutOfWindow
 from twograph.modular import kms_check
 from twograph.oracle import GradedActionModel
 from twograph.sampling import random_element, random_unitary, rng_from_seed
+from twograph.semigroup import enumerate_words
 
 from conftest import random_theta
 
 SEEDS = st.integers(0, 2**16)
 FEW = settings(max_examples=25, deadline=None)
+DEGREES = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
 
 @FEW
@@ -40,6 +43,34 @@ def test_product_agrees_with_the_oracle(theta, seed):
     model = GradedActionModel(theta, window=5)
     a, b = random_element(rng, theta, (1, 1)), random_element(rng, theta, (1, 1))
     assert model.product_agrees(a, b, mul(a, b))
+
+
+@FEW
+@given(theta=random_theta(), seed=SEEDS, degree=DEGREES)
+def test_action_walks_the_rows_that_act_finds(theta, seed, degree):
+    # a (1, 1) term lifts a stratum of at most (2, 2) to at most (3, 3)
+    model = GradedActionModel(theta, window=3)
+    a = random_element(rng_from_seed(seed), theta, (1, 1), terms=4)
+    by_word = {z: model.act(a, z) for z in enumerate_words(theta, degree)}
+    assert model.action(a, degree) == {z: row for z, row in by_word.items() if row}
+
+
+def _raises_out_of_window(build) -> bool:
+    try:
+        build()
+    except OutOfWindow:
+        return True
+    return False
+
+
+@FEW
+@given(theta=random_theta(), seed=SEEDS, degree=DEGREES, window=st.integers(0, 3))
+def test_action_leaves_the_window_exactly_when_act_does(theta, seed, degree, window):
+    model = GradedActionModel(theta, window=window)
+    a = random_element(rng_from_seed(seed), theta, (1, 1), terms=4)
+    by_word = any(_raises_out_of_window(lambda: model.act(a, z))
+                  for z in enumerate_words(theta, degree))
+    assert _raises_out_of_window(lambda: model.action(a, degree)) == by_word
 
 
 @FEW

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twograph import semigroup
+from twograph import kernel, semigroup
 from twograph.errors import (
     DegreeTooLarge,
     FlipRequiresSquare,
@@ -157,6 +157,36 @@ class TestFactorAt:
                         if concat(theta, w1, w2) == w
                     ]
                     assert splits == [factor_at(theta, w, (a, b))]
+
+
+# empty, e-only, f-only and mixed canonical words
+BLOCK_SHAPES = ((0, 0), (2, 0), (0, 2), (1, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(theta=random_theta(), data=st.data())
+def test_block_juxtaposition_agrees_with_the_kernel(theta, data):
+    """`concat` and `factor_at` skip the kernel when no letter crosses; on
+    every block shape they give what the kernel gives."""
+
+    def draw_word(a, b):
+        e = data.draw(st.tuples(*[st.integers(1, theta.m)] * a))
+        f = data.draw(st.tuples(*[st.integers(1, theta.n)] * b))
+        return Word(e, f)
+
+    words = [draw_word(a, b) for a, b in BLOCK_SHAPES]
+    for w1 in words:
+        for w2 in words:
+            got = concat(theta, w1, w2)
+            assert got == Word(*kernel.concat(theta._handle, *w1, *w2))
+            if w1.is_empty:
+                assert got is w2
+            elif w2.is_empty:
+                assert got is w1
+        for p in range(len(w1.e_block) + 1):
+            for q in range(len(w1.f_block) + 1):
+                e1, f1, e2, f2 = kernel.factor(theta._handle, *w1, p, q)
+                assert factor_at(theta, w1, (p, q)) == (Word(e1, f1), Word(e2, f2))
 
 
 class TestEnumerate:
