@@ -27,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
+from . import semigroup
 from .errors import NotAPermutation, NotUnitModulus, ThetaMismatch
 from .scalar import ExactScalar
 from .semigroup import (
@@ -261,7 +262,12 @@ def _accumulate(acc: dict[GenTerm, ExactScalar], t: GenTerm, c: ExactScalar) -> 
 
 
 def _prefix(theta: Permutation2D, w: Word, meet: Degree) -> Word:
-    """The prefix of w of degree meet <= d(w)."""
+    """The prefix of w of degree meet <= d(w).
+
+    A split that needs the kernel is looked up in the table's prefix memo
+    and stored there on a miss while the memo holds fewer than
+    `semigroup._CACHE_ENTRIES` entries.
+    """
     e, f = w
     p, q = meet
     if p == len(e) and q == len(f):
@@ -269,7 +275,14 @@ def _prefix(theta: Permutation2D, w: Word, meet: Degree) -> Word:
     if not q:
         # a split that takes no f-letter keeps the first e-letters verbatim
         return Word(e[:p], ())
-    return factor_at(theta, w, meet)[0]
+    memo = theta._prefixes
+    key = (w, meet)
+    prefix = memo.get(key)
+    if prefix is None:
+        prefix = factor_at(theta, w, meet)[0]
+        if len(memo) < semigroup._CACHE_ENTRIES:
+            memo[key] = prefix
+    return prefix
 
 
 def mul(a: Element, b: Element) -> Element:
@@ -282,9 +295,12 @@ def mul(a: Element, b: Element) -> Element:
     is exact. The right operand is grouped by d(u2); each class is bucketed
     by the prefix of u2 at each meet the left operand asks for (built once
     per (class, meet) on first use), and only the bucket of v1's prefix is
-    scanned. The common-extension cache decides every surviving pair. Pairs
-    are taken in the right operand's order, so the sums are accumulated in
-    the same sequence as an all-pairs loop would.
+    scanned. The bucket keys and v1's prefix are read through `_prefix`, so
+    a split that the kernel made for the table once, in this call or an
+    earlier one, comes from the table's prefix memo. The common-extension
+    cache decides every surviving pair. Pairs are taken in the right
+    operand's order, so the sums are accumulated in the same sequence as an
+    all-pairs loop would.
     """
     a._require_same_theta(b)
     theta = a.theta

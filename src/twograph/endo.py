@@ -114,26 +114,44 @@ def _twist(u: Element, v: Element) -> tuple[Element, Element] | None:
 
 
 class UnitaryPair:
-    """A twisted pair (U, V) with its derived unitary W cached."""
+    """A twisted pair (U, V) with its derived unitary W cached.
+
+    `UnitaryPair(u, v)` decides twistedness and raises `NotTwisted` with the
+    residual. `_trusted` builds a pair that a theorem already makes twisted.
+    """
 
     __slots__ = ("theta", "U", "V", "W")
 
     def __init__(self, u: Element, v: Element):
         u._require_same_theta(v)
-        self.theta = u.theta
-        self.U = u.canonicalize()
-        self.V = v.canonicalize()
         twist = _twist(u, v)
         if twist is None:
             raise NotTwisted("pair is not twisted")
-        self.W, residual = twist
+        w, residual = twist
         if not residual.is_empty:
             raise NotTwisted(f"pair is not twisted; residual {residual}")
+        self._fill(u, v, w)
+
+    @classmethod
+    def _trusted(cls, u: Element, v: Element) -> "UnitaryPair":
+        """The pair (u, v) without deciding it: only W = u*shift_e(v) is
+        computed. Each caller names the theorem that makes its pair twisted;
+        `tests/test_random_tables.py` decides those pairs on random tables."""
+        pair = cls.__new__(cls)
+        pair._fill(u, v, mul(u, shift_e(v)))
+        return pair
+
+    def _fill(self, u: Element, v: Element, w: Element) -> None:
+        self.theta = u.theta
+        self.U = u.canonicalize()
+        self.V = v.canonicalize()
+        self.W = w
 
     @classmethod
     def identity(cls, theta: Permutation2D) -> "UnitaryPair":
+        """The pair (1, 1) of the identity endomorphism."""
         one = Element.unit(theta)
-        return cls(one, one)
+        return cls._trusted(one, one)
 
     def equals(self, other: "UnitaryPair") -> bool:
         return self.U == other.U and self.V == other.V
@@ -148,7 +166,8 @@ class Endomorphism:
     Word images are built from the cached letter images and memoized; the
     action on a generator is lam(s_u) lam(s_v)*. Well-definedness over the
     choice of spelling is guaranteed by the twisted property, which
-    `UnitaryPair` decides before any pair reaches this class.
+    `UnitaryPair` decides before any pair reaches this class, or which a
+    theorem guarantees for the pairs built by `UnitaryPair._trusted`.
     """
 
     __slots__ = ("pair", "theta", "_e_images", "_f_images", "_word_cache")
@@ -259,12 +278,16 @@ def canonical_endomorphism(theta: Permutation2D, p: int, q: int) -> Endomorphism
 
 def compose(outer: Endomorphism, inner: Endomorphism) -> UnitaryPair:
     """Pair of the composite outer o inner:
-    (outer(U1) U2, outer(V1) V2) for inner pair (U1, V1), outer pair (U2, V2)."""
+    (outer(U1) U2, outer(V1) V2) for inner pair (U1, V1), outer pair (U2, V2).
+
+    The pair is twisted without a decision: unital endomorphisms and twisted
+    pairs are isomorphic semigroups, and the composite of two unital
+    endomorphisms is one whose pair is this product."""
     if outer.theta != inner.theta:
         raise ThetaMismatch("endomorphisms live over different tables")
     u = mul(outer.apply(inner.pair.U), outer.pair.U)
     v = mul(outer.apply(inner.pair.V), outer.pair.V)
-    return UnitaryPair(u, v)
+    return UnitaryPair._trusted(u, v)
 
 
 def pair_product(p2: UnitaryPair, p1: UnitaryPair) -> UnitaryPair:
@@ -273,12 +296,15 @@ def pair_product(p2: UnitaryPair, p1: UnitaryPair) -> UnitaryPair:
 
 
 def inner_pair(w: Element) -> UnitaryPair:
-    """The twisted pair (W shift_e(W)*, W shift_f(W)*) of conjugation by W."""
+    """The twisted pair (W shift_e(W)*, W shift_f(W)*) of conjugation by W.
+
+    The pair is twisted without a decision once W is decided unitary: Ad W
+    is a unital endomorphism, and this is its pair."""
     if not is_unitary(w):
         raise NotUnitary("conjugation requires a unitary")
     u = mul(w, shift_e(w).adjoint())
     v = mul(w, shift_f(w).adjoint())
-    return UnitaryPair(u, v)
+    return UnitaryPair._trusted(u, v)
 
 
 def automorphism_witness_check(

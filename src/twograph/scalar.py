@@ -72,6 +72,12 @@ def _sum(x: Coeff, y: Coeff) -> Coeff:
     return (a * f + c * d, b * f + e * d, d * f)
 
 
+def _rational(x) -> int | Fraction:
+    """x itself when it carries a reduced numerator and denominator (an int
+    or a Fraction), else Fraction(x)."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def _fractions(coeff: Coeff) -> Gaussian:
     re, im, den = coeff
     return Fraction(re, den), Fraction(im, den)
@@ -131,12 +137,13 @@ class ExactScalar:
 
     @classmethod
     def rational(cls, x) -> "ExactScalar":
-        x = Fraction(x)
-        if x == 0:
+        x = _rational(x)
+        num, den = x.numerator, x.denominator
+        if not num:
             return _ZERO_SCALAR
-        if x == 1:
+        if num == den:
             return _ONE_SCALAR
-        return cls({(): (x.numerator, 0, x.denominator)})
+        return cls({(): (num, 0, den)})
 
     @classmethod
     def one(cls) -> "ExactScalar":
@@ -144,8 +151,8 @@ class ExactScalar:
 
     @classmethod
     def gaussian(cls, re, im) -> "ExactScalar":
-        re, im = Fraction(re), Fraction(im)
-        if im == 0:
+        re, im = _rational(re), _rational(im)
+        if not im:
             return cls.rational(re)
         # already reduced: a prime p of den = lcm(q_re, q_im) has its full
         # power in one of the two q, and that part's numerator and den // q

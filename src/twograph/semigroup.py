@@ -111,10 +111,22 @@ def parse_word_letters(text: str) -> list[tuple[str, int]]:
     return out
 
 
-class Permutation2D:
-    """The defining data (m, n, theta) with prepared rewrite tables."""
+# entries kept by each word cache: the common-extension `lru_cache` and the
+# prefix memo of every table
+_CACHE_ENTRIES = 1 << 16
 
-    __slots__ = ("m", "n", "table", "_fwd_flat", "_handle", "_hash")
+
+class Permutation2D:
+    """The defining data (m, n, theta) with prepared rewrite tables.
+
+    A table also owns the memo `_prefixes` of the word prefixes that
+    `algebra.mul` asks for, (word, meet degree) -> prefix, holding at most
+    `_CACHE_ENTRIES` entries. By unique factorization a prefix depends on
+    nothing else. Every table starts with an empty memo, so an equal table
+    built again (as each CLI invocation does) starts cold.
+    """
+
+    __slots__ = ("m", "n", "table", "_fwd_flat", "_handle", "_hash", "_prefixes")
 
     def __init__(self, m: int, n: int, table: dict[tuple[int, int], tuple[int, int]]):
         if m < 1 or n < 1:
@@ -139,6 +151,7 @@ class Permutation2D:
         self._fwd_flat = tuple(fwd)
         self._handle = kernel.prepare(m, n, self._fwd_flat)
         self._hash = hash((m, n, self._fwd_flat))
+        self._prefixes: dict[tuple[Word, Degree], Word] = {}
 
     @classmethod
     def identity(cls, m: int, n: int) -> "Permutation2D":
@@ -294,7 +307,7 @@ def words_up_to(theta: Permutation2D, bound: Degree) -> list[Word]:
     return out
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def _common_extensions_cached(theta: Permutation2D, u: Word, v: Word):
     raw = kernel.common_ext(
         theta._handle, u.e_block, u.f_block, v.e_block, v.f_block

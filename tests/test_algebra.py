@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twograph import algebra
+from twograph import algebra, semigroup
 from twograph.algebra import (
     Element,
     GenTerm,
@@ -22,7 +22,15 @@ from twograph.algebra import (
 from twograph.errors import NotAPermutation, NotUnitModulus, ThetaMismatch
 from twograph.sampling import random_element, rng_from_seed
 from twograph.scalar import ExactScalar
-from twograph.semigroup import EMPTY_WORD, Word, common_extensions, concat, deg_sub, word
+from twograph.semigroup import (
+    EMPTY_WORD,
+    Word,
+    common_extensions,
+    concat,
+    deg_sub,
+    make_theta,
+    word,
+)
 
 from conftest import random_theta
 
@@ -193,6 +201,68 @@ def test_meet_index_matches_all_pairs_on_random_tables(data):
     a, b = data.draw(random_operand(theta)), data.draw(random_operand(theta))
     got, expected = mul(a, b), all_pairs_mul(a, b)
     assert list(got._terms.items()) == list(expected._terms.items())
+    # again with the table's prefix memo warm from both products
+    mul(b, a)
+    assert list(mul(a, b)._terms.items()) == list(expected._terms.items())
+
+
+class TestPrefixMemo:
+    """`mul` reads the prefixes that need the kernel through a memo on the
+    table; each table starts with an empty one and keeps it bounded."""
+
+    @staticmethod
+    def operands(theta):
+        rng = rng_from_seed(5)
+        return [random_element(rng, theta, (2, 2), terms=8) for _ in range(3)]
+
+    @pytest.fixture
+    def kernel_splits(self, monkeypatch):
+        """The (word, meet) of every split that `_prefix` sends to `factor_at`."""
+        original = algebra.factor_at
+        seen = []
+
+        def counting_factor_at(th, w, delta):
+            seen.append((w, delta))
+            return original(th, w, delta)
+
+        monkeypatch.setattr(algebra, "factor_at", counting_factor_at)
+        return seen
+
+    def test_kernel_runs_once_per_key(self, kernel_splits):
+        theta = make_theta(2, 3, "identity")
+        a, b, c = self.operands(theta)
+        mul(a, b)
+        first = list(kernel_splits)
+        assert first and len(set(first)) == len(first)
+        assert len(theta._prefixes) == len(first)
+        mul(a, b)
+        assert kernel_splits == first
+        mul(c, a)
+        later = kernel_splits[len(first):]
+        assert later and len(set(later)) == len(later)
+        assert not set(later) & set(first)
+
+    def test_an_equal_table_starts_empty(self):
+        warm = make_theta(2, 2, "flip")
+        a, b, _ = self.operands(warm)
+        mul(a, b)
+        cold = make_theta(2, 2, "flip")
+        assert cold == warm and warm._prefixes and not cold._prefixes
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        unbounded = make_theta(2, 3, "identity")
+        a, b, c = self.operands(unbounded)
+        for x, y in ((a, b), (b, c), (c, a)):
+            mul(x, y)
+        assert len(unbounded._prefixes) > 3
+        monkeypatch.setattr(semigroup, "_CACHE_ENTRIES", 3)
+        theta = make_theta(2, 3, "identity")
+        a, b, c = self.operands(theta)
+        for x, y in ((a, b), (b, c), (c, a)):
+            got = mul(x, y)
+            assert len(theta._prefixes) <= 3
+            assert list(got._terms.items()) == list(all_pairs_mul(x, y)._terms.items())
+        assert len(theta._prefixes) == 3
 
 
 class TestAdjoint:

@@ -190,6 +190,26 @@ class TestCheckCommand:
         _, out2 = capture(capsys, *args)
         assert out1 == out2
 
+    def test_each_invocation_starts_with_a_cold_prefix_memo(self, capsys, monkeypatch):
+        # the prefix memo lives on the table, so a second invocation in one
+        # process builds a new table with an empty memo and prints the same bytes
+        built = []
+
+        def recording_make_theta(*args):
+            theta = semigroup.make_theta(*args)
+            built.append((theta, len(theta._prefixes)))
+            return theta
+
+        monkeypatch.setattr(cli, "make_theta", recording_make_theta)
+        args = ("check", "all", "--m", "2", "--n", "2", "--theta", "flip",
+                "--samples", "4", "--level", "1,1", "--format", "records")
+        _, out1 = capture(capsys, *args)
+        _, out2 = capture(capsys, *args)
+        assert out1 == out2 and out1.endswith("result\tPASS\n")
+        (first, size1), (second, size2) = built
+        assert second is not first and second == first
+        assert size1 == size2 == 0 and first._prefixes and second._prefixes
+
     @pytest.mark.parametrize("case, target", [
         ("canonical-pairs-twisted", "canonical_pair"),
         ("gallery-ex313", "ex313"),

@@ -8,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 from twograph.algebra import Element, mul
 from twograph.endo import (
     Endomorphism,
+    UnitaryPair,
     canonical_pair,
+    compose,
     inner_pair,
     pair_from_generator_map,
+    pair_product,
     twisted_check,
 )
 from twograph.errors import OutOfWindow
@@ -103,3 +106,19 @@ def test_inner_pair_round_trips_and_is_multiplicative(theta, seed):
     x, y = random_element(rng, theta, (1, 1)), random_element(rng, theta, (1, 1))
     assert lam.apply(mul(x, y)) == mul(lam.apply(x), lam.apply(y))
     assert lam.apply(Element.unit(theta)) == Element.unit(theta)
+
+
+@FEW
+@given(theta=random_theta(), seed=SEEDS)
+def test_pairs_built_without_a_decision_are_twisted(theta, seed):
+    # compose, pair_product and inner_pair trust the theory that makes their
+    # pairs twisted; decide each pair here instead
+    rng = rng_from_seed(seed)
+    inner = inner_pair(random_unitary(rng, theta))
+    shift = canonical_pair(theta, 1, 0)
+    built = [inner, compose(Endomorphism(shift), Endomorphism(inner)),
+             pair_product(inner, shift)]
+    for pair in built:
+        assert twisted_check(pair.U, pair.V) == (True, None)
+        decided = UnitaryPair(pair.U, pair.V)
+        assert UnitaryPair._trusted(pair.U, pair.V).W == decided.W == pair.W
