@@ -296,8 +296,8 @@ def _dispatch(args, theta: Permutation2D, out: _Output) -> int:
         out.kv("size", len(basis))
         for row in gram:
             out.kv("row", "\t".join(str(x) for x in row))
-        for row in gram:
-            out.kv("row-float", "\t".join(repr(x.to_complex().real) for x in row))
+        for row in md.gram_matrix_float(gram):
+            out.kv("row-float", "\t".join(repr(x.real) for x in row))
         return 0
 
     if cmd == "oracle":

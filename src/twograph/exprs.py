@@ -17,6 +17,7 @@ grammar parses back to the same canonical value.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -25,6 +26,10 @@ from .errors import ExpressionSyntaxError
 from .scalar import ExactScalar
 from .semigroup import _LETTER_RE, Permutation2D, Word, normal_form
 
+
+# Most digits of an integer literal and of b^ceil(|r|), the bound on what a radical literal
+# b^(r) folds into its coefficient: Python's int-to-str limit, so accepted literals print.
+MAX_LITERAL_DIGITS = 4300
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+)|(?P<name>[A-Za-z]\w*)|(?P<sym>[-+*/^()\[\];.']))"
@@ -42,12 +47,11 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
                 break
             bad_at = pos + len(src[pos:]) - len(rest)
             raise ExpressionSyntaxError(f"unexpected character {rest[0]!r}", bad_at)
-        if match.group("number"):
-            tokens.append(("number", match.group("number"), match.start("number")))
-        elif match.group("name"):
-            tokens.append(("name", match.group("name"), match.start("name")))
-        else:
-            tokens.append(("sym", match.group("sym"), match.start("sym")))
+        kind = match.lastgroup
+        if kind == "number" and len(match.group(kind)) > MAX_LITERAL_DIGITS:
+            raise ExpressionSyntaxError(
+                f"integer literal exceeds {MAX_LITERAL_DIGITS} digits", match.start(kind))
+        tokens.append((kind, match.group(kind), match.start(kind)))
         pos = match.end()
     tokens.append(("end", "", len(src)))
     return tokens
@@ -55,7 +59,6 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, src: str, theta: Permutation2D):
-        self.src = src
         self.theta = theta
         self.tokens = _tokenize(src)
         self.index = 0
@@ -123,23 +126,28 @@ class _Parser:
         raise ExpressionSyntaxError(f"unexpected token {text!r}", pos)
 
     def parse_scalar(self) -> Element:
-        kind, text, pos = self.advance()
-        value = Fraction(int(text))
-        if self.peek()[1] == "^":
-            self.advance()
+        kind, text, pos = self.peek()
+        if self.tokens[self.index + 1][1] == "^":
+            self.index += 2
             self.expect("(")
-            exponent = self.parse_signed_rational()
+            negate = self.peek()[1] == "-"
+            if negate:
+                self.advance()
+            exponent = self.parse_rational()
             self.expect(")")
-            if value < 1:
+            base = int(text)
+            if base < 1:
                 raise ExpressionSyntaxError("radical base must be >= 1", pos)
-            coeff = ExactScalar.root(int(value), exponent)
+            # base^w >= 2^((L-1) w) with L = base.bit_length(): past 4 bits a digit
+            # that is too large, and below it base^w is cheap to build and compare
+            whole = math.ceil(exponent)
+            if ((base.bit_length() - 1) * whole > 4 * MAX_LITERAL_DIGITS
+                    or base ** whole >= 10 ** MAX_LITERAL_DIGITS):
+                raise ExpressionSyntaxError(
+                    f"radical literal exceeds {MAX_LITERAL_DIGITS} digits", pos)
+            coeff = ExactScalar.root(base, -exponent if negate else exponent)
             return Element.unit(self.theta).scaled(coeff)
-        if self.peek()[1] == "/":
-            self.advance()
-            dkind, dtext, dpos = self.advance()
-            if dkind != "number":
-                raise ExpressionSyntaxError("expected denominator", dpos)
-            value /= int(dtext)
+        value = self.parse_rational()
         if self.peek()[:2] == ("name", "i"):
             self.advance()
             coeff = ExactScalar.gaussian(0, value)
@@ -147,22 +155,20 @@ class _Parser:
             coeff = ExactScalar.rational(value)
         return Element.unit(self.theta).scaled(coeff)
 
-    def parse_signed_rational(self) -> Fraction:
-        negate = False
-        if self.peek()[1] == "-":
-            self.advance()
-            negate = True
+    def parse_rational(self) -> Fraction:
+        """int ['/' int]; a zero denominator is refused at its position."""
         kind, text, pos = self.advance()
         if kind != "number":
             raise ExpressionSyntaxError("expected a rational", pos)
-        value = Fraction(int(text))
-        if self.peek()[1] == "/":
-            self.advance()
-            dkind, dtext, dpos = self.advance()
-            if dkind != "number":
-                raise ExpressionSyntaxError("expected denominator", dpos)
-            value /= int(dtext)
-        return -value if negate else value
+        if self.peek()[1] != "/":
+            return Fraction(int(text))
+        self.advance()
+        dkind, dtext, dpos = self.advance()
+        if dkind != "number":
+            raise ExpressionSyntaxError("expected denominator", dpos)
+        if int(dtext) == 0:
+            raise ExpressionSyntaxError("zero denominator", dpos)
+        return Fraction(int(text), int(dtext))
 
     def parse_gen(self) -> Element:
         self.advance()  # 'S'

@@ -136,16 +136,28 @@ def gram_matrix(basis: list[Element]) -> list[list[ExactScalar]]:
     return gram
 
 
-def gram_matrix_float(gram: list[list[ExactScalar]]):
-    """Complex ndarray view of an exact Gram matrix."""
-    import numpy as np
+def gram_matrix_float(gram: list[list[ExactScalar]]) -> list[list[complex]]:
+    """Double-precision view of an exact Gram matrix, row by row."""
+    return [[entry.to_complex() for entry in row] for row in gram]
 
-    size = len(gram)
-    out = np.zeros((size, size), dtype=complex)
-    for i in range(size):
-        for j in range(size):
-            out[i, j] = gram[i][j].to_complex()
-    return out
+
+def gram_is_positive_definite(gram: list[list[ExactScalar]]) -> bool:
+    """Sylvester's criterion, decided exactly: True iff every pivot of the
+    Hermitian elimination of `gram` (no row exchanges; each pivot is a ratio
+    of leading principal minors) is real and > 0. A pivot that is not a
+    Gaussian rational is refused with MalformedInput."""
+    rows = [list(row) for row in gram]
+    for k, row in enumerate(rows):
+        pivot = row[k].as_gaussian()
+        if pivot is None:
+            raise MalformedInput(f"pivot {row[k]} is not a Gaussian rational")
+        if pivot[1] or pivot[0] <= 0:
+            return False
+        scale = row[k].inverse()
+        for below in rows[k + 1:]:
+            factor = below[k] * scale
+            below[k + 1:] = [x - factor * y for x, y in zip(below[k + 1:], row[k + 1:])]
+    return True
 
 
 def modular_spectrum_window(theta: Permutation2D, window: int) -> list[ExactScalar]:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from twograph import cli, endo, semigroup
+from twograph import cli, endo, modular, semigroup
 from twograph.algebra import Element, permutation_unitary
 from twograph.cli import main, parse_pair_spec
 from twograph.endo import canonical_pair, gallery, twisted_check
@@ -210,9 +210,25 @@ class TestCheckCommand:
         assert second is not first and second == first
         assert size1 == size2 == 0 and first._prefixes and second._prefixes
 
+    def test_a_gram_matrix_that_is_not_positive_definite_fails_its_case(
+            self, monkeypatch, capsys):
+        monkeypatch.setattr(modular, "gram_is_positive_definite", lambda gram: False)
+        code, out = capture(capsys, "check", "modular", "--m", "2", "--n", "2",
+                            "--samples", "4", "--level", "1,1")
+        assert code == 1
+        lines = [ln for ln in out.splitlines() if ln.startswith("case.")]
+        for ln in lines:
+            if ln.startswith("case.modular.gram-positivity: "):
+                assert ln.startswith("case.modular.gram-positivity: FAIL 0/1 exact; "
+                                     "first witness: Gram matrix not positive definite")
+            else:
+                assert ": PASS " in ln
+        assert len(lines) == 8 and out.endswith("result: FAIL\n")
+
     @pytest.mark.parametrize("case, target", [
         ("canonical-pairs-twisted", "canonical_pair"),
         ("gallery-ex313", "ex313"),
+        ("gallery-ex311", "ex311"),
         ("gallery-ex310-central-scalars", "ex310"),
         ("gallery-ex312", "ex312"),
     ])
@@ -359,8 +375,14 @@ class TestUsageErrors:
         ("kms", "S[e1;id]", "S[e1;id]", "--float-tol", "inf"),
         ("kms", "S[e1;id]", "S[e1;id]", "--float-tol", "-1"),
         ("kms", "S[e1;id]", "S[e1;id]", "--float-tol", "0"),
+        ("omega", "1/0"),
+        ("omega", "2^(1/0)"),
+        ("omega", "2^(20000)"),
+        ("omega", "2^(10000000000)"),
     ], ids=["bad-letter", "non-integer-degree", "missing-pair-argument", "negative-window",
-            "nan-tolerance", "infinite-tolerance", "negative-tolerance", "zero-tolerance"])
+            "nan-tolerance", "infinite-tolerance", "negative-tolerance", "zero-tolerance",
+            "zero-denominator", "zero-exponent-denominator", "oversized-radical",
+            "huge-radical-exponent"])
     def test_exit_code(self, capsys, argv):
         code = run_cli(*argv)
         err = capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 
 from twograph.algebra import Element
 from twograph.errors import ExpressionSyntaxError, IndexOutOfRange
-from twograph.exprs import parse_expression, parse_scalar
+from twograph.exprs import MAX_LITERAL_DIGITS, parse_expression, parse_scalar
 from twograph.sampling import random_element, rng_from_seed
 from twograph.scalar import ExactScalar
 from twograph.semigroup import word
@@ -79,6 +79,28 @@ class TestParse:
         got = parse_expression("S[id;e1]*S[e1;id]'", theta)
         expected = gen(theta, "id", "e1") * gen(theta, "id", "e1")
         assert got == expected
+
+    @pytest.mark.parametrize("src, position", [("1/0", 2), ("3/0i", 2), ("2^(-1/0)", 6)])
+    def test_zero_denominator_is_refused_at_its_position(self, theta, src, position):
+        with pytest.raises(ExpressionSyntaxError, match="zero denominator") as info:
+            parse_scalar(src, theta)
+        assert info.value.position == position
+
+    def test_radical_literal_cap(self, theta):
+        # 2^14284 has 4300 digits and 2^14285 has 4301
+        assert MAX_LITERAL_DIGITS == 4300
+        assert parse_scalar("2^(14284)", theta) == ExactScalar.rational(2 ** 14284)
+        assert parse_scalar("2^(-28567/2)", theta) == ExactScalar.root(2, Fraction(-28567, 2))
+        for src in ("2^(14285)", "2^(-28569/2)", "2^(20000)", "(1+2^(10000000000))"):
+            with pytest.raises(ExpressionSyntaxError, match="exceeds 4300 digits") as info:
+                parse_scalar(src, theta)
+            assert info.value.position == src.index("2")
+
+    def test_integer_literal_cap(self, theta):
+        assert parse_scalar("9" * 4300, theta) == ExactScalar.rational(10 ** 4300 - 1)
+        with pytest.raises(ExpressionSyntaxError, match="exceeds 4300 digits") as info:
+            parse_scalar("1+" + "9" * 4301, theta)
+        assert info.value.position == 2
 
     def test_scalar_rejects_non_scalar(self, theta):
         with pytest.raises(ExpressionSyntaxError):

@@ -4,11 +4,14 @@ import struct
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from twograph.algebra import Element, gauge, gauge_float, mul
+from twograph.errors import MalformedInput
 from twograph.modular import (
     flow_fixed_degree,
+    gram_is_positive_definite,
     gram_matrix,
     gram_matrix_float,
     inner,
@@ -266,6 +269,21 @@ class TestGram:
             basis = random_independent_basis(rng, theta, rng.randint(2, 8), (2, 2))
             values = np.linalg.eigvalsh(gram_matrix_float(gram_matrix(basis)))
             assert values.min() > 1e-9
+
+    def test_repeated_basis_element_is_singular(self, theta):
+        basis = random_independent_basis(rng_from_seed(51), theta, 4, (2, 2))
+        assert gram_is_positive_definite(gram_matrix(basis))
+        assert not gram_is_positive_definite(gram_matrix(basis + basis[1:2]))
+
+    def test_radical_pivot_is_refused(self):
+        root2 = ExactScalar.root(2, half)
+        with pytest.raises(MalformedInput):
+            gram_is_positive_definite([[root2]])
+        # a Gaussian first pivot, then the second pivot 1 - 2^(1/2)
+        fourth = ExactScalar.root(2, Fraction(1, 4))
+        one = ExactScalar.one()
+        with pytest.raises(MalformedInput):
+            gram_is_positive_definite([[one, fourth], [fourth, one]])
 
     def test_hermitian(self, theta):
         rng = rng_from_seed(50)

@@ -3,6 +3,7 @@ kernel: the product, the oracle, the state, and twisted pairs with their
 endomorphisms. The fixture tables are three points of this space; each test
 here draws a fresh table and a seed for the elements."""
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from twograph.algebra import Element, mul
@@ -17,9 +18,15 @@ from twograph.endo import (
     twisted_check,
 )
 from twograph.errors import OutOfWindow
-from twograph.modular import kms_check
+from twograph.modular import gram_is_positive_definite, gram_matrix, gram_matrix_float, kms_check
 from twograph.oracle import GradedActionModel
-from twograph.sampling import random_element, random_unitary, rng_from_seed
+from twograph.sampling import (
+    random_coeff,
+    random_element,
+    random_independent_basis,
+    random_unitary,
+    rng_from_seed,
+)
 from twograph.semigroup import enumerate_words
 
 from conftest import random_theta
@@ -83,6 +90,22 @@ def test_kms_exact(theta, seed):
     a, b = random_element(rng, theta, (1, 1)), random_element(rng, theta, (1, 1))
     ok, lhs, rhs = kms_check(a, b)
     assert ok, (str(lhs), str(rhs))
+
+
+@FEW
+@given(theta=random_theta(), seed=SEEDS, size=st.integers(1, 6), dependent=st.booleans())
+def test_exact_gram_decision_agrees_with_eigvalsh(theta, seed, size, dependent):
+    # an independent basis gives a positive definite Gram matrix; appending a
+    # combination of two of its elements makes it singular
+    rng = rng_from_seed(seed)
+    basis = random_independent_basis(rng, theta, size, (2, 2))
+    if dependent:
+        a, b = rng.choice(basis), rng.choice(basis)
+        basis.append(a.scaled(random_coeff(rng)) + b.scaled(random_coeff(rng)))
+    gram = gram_matrix(basis)
+    smallest = np.linalg.eigvalsh(gram_matrix_float(gram)).min()
+    assert gram_is_positive_definite(gram) == (smallest > 1e-9), smallest
+    assert gram_is_positive_definite(gram) != dependent
 
 
 @settings(max_examples=10, deadline=None)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from twograph import modular
+from twograph import endo, modular
 from twograph.algebra import GenTerm
+from twograph.endo import gallery
 from twograph.semigroup import word
 from twograph.suites import SUITE_NAMES, kms_suite, run_suite
 
@@ -60,3 +61,16 @@ def test_flow_equals_gauge_float_names_its_first_witness(flip22, monkeypatch):
         "7202/7203 exact; first witness: t=1.0 term=S[e2.f1;f2] "
         "residual=1.0000000000287557e-06"
     )
+
+
+def test_a_gallery_bug_is_not_recorded_as_a_failed_check(id22, monkeypatch):
+    # the gallery cases record only the package's own refusals; any other
+    # exception is a bug in the program and propagates
+    def broken_gallery(theta, name, **kwargs):
+        if name == "ex311":
+            raise ZeroDivisionError(name)
+        return gallery(theta, name, **kwargs)
+
+    monkeypatch.setattr(endo, "gallery", broken_gallery)
+    with pytest.raises(ZeroDivisionError, match="ex311"):
+        run_suite("endo", id22, seed=0, level=(1, 1), samples=2, float_tol=1e-9)
