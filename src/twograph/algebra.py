@@ -86,6 +86,15 @@ class Element:
     # --- constructors -------------------------------------------------------
 
     @classmethod
+    def _of(cls, theta: Permutation2D, terms: dict[GenTerm, ExactScalar]) -> "Element":
+        """Trusted constructor: `terms` holds no zero coefficient and is
+        taken as it stands, neither copied nor filtered."""
+        self = cls.__new__(cls)
+        self.theta = theta
+        self._terms = terms
+        return self
+
+    @classmethod
     def zero(cls, theta: Permutation2D) -> "Element":
         return cls(theta, {})
 
@@ -129,7 +138,7 @@ class Element:
         acc = dict(self._terms)
         for t, c in other._terms.items():
             _accumulate(acc, t, c)
-        return Element(self.theta, acc)
+        return Element._of(self.theta, acc)
 
     def __sub__(self, other) -> "Element":
         if not isinstance(other, Element):
@@ -138,7 +147,7 @@ class Element:
         acc = dict(self._terms)
         for t, c in other._terms.items():
             _accumulate(acc, t, -c)
-        return Element(self.theta, acc)
+        return Element._of(self.theta, acc)
 
     def __neg__(self) -> "Element":
         return Element(
@@ -170,7 +179,7 @@ class Element:
 
     def adjoint(self) -> "Element":
         """Termwise s_u s_v* -> s_v s_u* with conjugated coefficients."""
-        return Element(
+        return Element._of(
             self.theta,
             {GenTerm(t.v, t.u): c.conjugate() for t, c in self._terms.items()},
         )
@@ -202,19 +211,16 @@ class Element:
                             ),
                             c,
                         )
-        return Element(self.theta, acc)
+        return Element._of(self.theta, acc)
 
     def _is_level_aligned(self) -> bool:
+        """True iff all terms of each degree difference share one v-degree
+        (degrees read off the four block lengths)."""
         seen: dict[Degree, Degree] = {}
-        for t in self._terms:
-            v = t.v
-            dv = (len(v.e_block), len(v.f_block))
-            d = t.degree
-            if d in seen:
-                if seen[d] != dv:
-                    return False
-            else:
-                seen[d] = dv
+        for (ue, uf), (ve, vf) in self._terms:
+            dv = (len(ve), len(vf))
+            if seen.setdefault((len(ue) - dv[0], len(uf) - dv[1]), dv) != dv:
+                return False
         return True
 
     def is_zero(self) -> bool:
@@ -315,7 +321,8 @@ def mul(a: Element, b: Element) -> Element:
         p, q = len(v1.e_block), len(v1.f_block)
         hits = []
         for dc, members in classes.items():
-            meet = (min(p, dc[0]), min(q, dc[1]))
+            e2, f2 = dc
+            meet = (p if p < e2 else e2, q if q < f2 else f2)
             bucket = buckets.get((dc, meet))
             if bucket is None:
                 bucket = buckets[(dc, meet)] = {}
@@ -335,7 +342,7 @@ def mul(a: Element, b: Element) -> Element:
                     GenTerm(concat(theta, t1.u, w1), concat(theta, v2, w2)),
                     c,
                 )
-    return Element(theta, acc).canonicalize()
+    return Element._of(theta, acc).canonicalize()
 
 
 def raise_level(theta: Permutation2D, t: GenTerm, delta: Degree) -> Element:

@@ -63,6 +63,11 @@ class MalformedInput(TwoGraphError, ValueError):
     that catch one."""
 
 
+class FactoringTooCostly(TwoGraphError):
+    """A radical base has a cofactor that trial division below the bound
+    cannot factor."""
+
+
 class ExpressionSyntaxError(TwoGraphError):
     """Malformed expression text; carries the offending position."""
 

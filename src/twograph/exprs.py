@@ -24,7 +24,7 @@ from fractions import Fraction
 from .algebra import Element
 from .errors import ExpressionSyntaxError
 from .scalar import ExactScalar
-from .semigroup import _LETTER_RE, Permutation2D, Word, normal_form
+from .semigroup import _LETTER_RE, Permutation2D, Word, _letter_of, normal_form
 
 
 # Most digits of an integer literal and of b^ceil(|r|), the bound on what a radical literal
@@ -199,7 +199,7 @@ class _Parser:
         match = _LETTER_RE.match(text)
         if not match:
             raise ExpressionSyntaxError(f"bad letter {text!r}", pos)
-        return match.group(1), int(match.group(2))
+        return _letter_of(match)
 
 
 def parse_expression(src: str, theta: Permutation2D) -> Element:

@@ -32,20 +32,33 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
+from .errors import FactoringTooCostly
+
 Monomial = tuple[tuple[int, Fraction], ...]  # ((prime, fractional exponent), ...)
 Coeff = tuple[int, int, int]  # (re, im, den): (re + im i)/den, den > 0, gcd(re, im, den) == 1
 Gaussian = tuple[Fraction, Fraction]
 
 _ZERO = Fraction(0)
 
+# trial divisors stay below this bound: a cofactor left below its square
+# (2^40) is prime, a larger one is refused. Dividing up to 2^20 takes about
+# 0.2 s in CPython on a current x86 core, so a refusal stays well inside a
+# second, and every base below 2^40 still factors fully.
+FACTOR_BOUND = 1 << 20
+
 
 def _factorize(k: int) -> dict[int, int]:
-    """Prime factorization of a positive integer by trial division."""
+    """Prime factorization of a positive integer by trial division below
+    FACTOR_BOUND; FactoringTooCostly when a cofactor of at least FACTOR_BOUND^2
+    has no prime factor below the bound."""
     if k < 1:
         raise ValueError(f"base must be a positive integer, got {k}")
     out: dict[int, int] = {}
     d = 2
     while d * d <= k:
+        if d == FACTOR_BOUND:
+            raise FactoringTooCostly(f"radical base not factored: a cofactor of {k.bit_length()} "
+                                     f"bits has no prime factor below {FACTOR_BOUND}")
         while k % d == 0:
             out[d] = out.get(d, 0) + 1
             k //= d
@@ -267,6 +280,17 @@ class ExactScalar:
             return other
         if other is _ONE_SCALAR or other._terms == _ONE_TERMS:
             return self
+        if len(self._terms) == 1 and len(other._terms) == 1:
+            x, y = self._terms.get(()), other._terms.get(())
+            if x is not None and y is not None:
+                # Gaussian x Gaussian: no exponent to fold, and a product of
+                # nonzero Gaussian rationals is nonzero
+                a, b, d = x
+                c, e, f = y
+                coeff = _reduced(a * c - b * e, a * e + b * c, d * f)
+                if coeff == _ONE_COEFF:
+                    return _ONE_SCALAR
+                return ExactScalar({(): coeff})
         raw = []
         for m1, (a, b, d) in self._terms.items():
             d1 = dict(m1)
@@ -352,7 +376,8 @@ class ExactScalar:
         return f"ExactScalar({self})"
 
 
-_ONE_TERMS: dict[Monomial, Coeff] = {(): (1, 0, 1)}
+_ONE_COEFF: Coeff = (1, 0, 1)
+_ONE_TERMS: dict[Monomial, Coeff] = {(): _ONE_COEFF}
 _ZERO_SCALAR = ExactScalar({})
 _ONE_SCALAR = ExactScalar(dict(_ONE_TERMS))
 

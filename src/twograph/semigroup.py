@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import kernel
 from .errors import (
@@ -97,6 +97,17 @@ EMPTY_WORD = Word((), ())
 _LETTER_RE = re.compile(r"([ef])([1-9][0-9]*)$")
 
 
+def _letter_of(match: re.Match) -> tuple[str, int]:
+    """The (kind, index) of a `_LETTER_RE` match. An index with more digits
+    than any table allows is refused before `int()` reads it (which rejects
+    more than 4300 digits with a ValueError)."""
+    kind, digits = match.group(1), match.group(2)
+    if len(digits) > _MAX_INDEX_DIGITS:
+        raise IndexOutOfRange(f"{kind}-index of {len(digits)} digits is out of range "
+                              f"(a table has at most {MAX_TABLE_PAIRS} index pairs)")
+    return kind, int(digits)
+
+
 def parse_word_letters(text: str) -> list[tuple[str, int]]:
     """Parse `id` or dot-separated letters like `e1.f2` into (kind, index) pairs."""
     text = text.strip()
@@ -107,7 +118,7 @@ def parse_word_letters(text: str) -> list[tuple[str, int]]:
         m = _LETTER_RE.match(piece.strip())
         if not m:
             raise MalformedInput(f"bad letter {piece!r} in word {text!r}")
-        out.append((m.group(1), int(m.group(2))))
+        out.append(_letter_of(m))
     return out
 
 
@@ -190,6 +201,9 @@ class Permutation2D:
 # a table of m*n index pairs costs about 1 us and 330 bytes a pair to build;
 # 65536 is 256x256 (about 0.06 s, 21 MB), 10^6 pairs took 1.3 s and 350 MB
 MAX_TABLE_PAIRS = 65536
+# so a letter index with more digits than the cap is out of range on every
+# table that `make_theta` builds
+_MAX_INDEX_DIGITS = len(str(MAX_TABLE_PAIRS))
 
 
 def make_theta(m: int, n: int, spec) -> Permutation2D:
@@ -280,11 +294,10 @@ def factor_at(theta: Permutation2D, w: Word, delta: Degree) -> tuple[Word, Word]
     return Word(e1, f1), Word(e2, f2)
 
 
-def iter_words(theta: Permutation2D, delta: Degree) -> Iterator[Word]:
+def _words(theta: Permutation2D, delta: Degree) -> list[Word]:
     a, b = delta
-    for e in product(range(1, theta.m + 1), repeat=a):
-        for f in product(range(1, theta.n + 1), repeat=b):
-            yield Word(e, f)
+    f_blocks = list(product(range(1, theta.n + 1), repeat=b))
+    return [Word(e, f) for e in product(range(1, theta.m + 1), repeat=a) for f in f_blocks]
 
 
 def enumerate_words(theta: Permutation2D, delta: Degree) -> list[Word]:
@@ -295,7 +308,7 @@ def enumerate_words(theta: Permutation2D, delta: Degree) -> list[Word]:
     """
     if delta[0] < 0 or delta[1] < 0:
         raise DegreeTooLarge(f"degree must be nonnegative, got {delta}")
-    return list(iter_words(theta, delta))
+    return _words(theta, delta)
 
 
 def words_up_to(theta: Permutation2D, bound: Degree) -> list[Word]:
@@ -303,7 +316,7 @@ def words_up_to(theta: Permutation2D, bound: Degree) -> list[Word]:
     out = []
     for a in range(bound[0] + 1):
         for b in range(bound[1] + 1):
-            out.extend(iter_words(theta, (a, b)))
+            out.extend(_words(theta, (a, b)))
     return out
 
 

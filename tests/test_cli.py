@@ -379,10 +379,14 @@ class TestUsageErrors:
         ("omega", "2^(1/0)"),
         ("omega", "2^(20000)"),
         ("omega", "2^(10000000000)"),
+        ("nf", "e" + "1" * 5000, "--m", "2", "--n", "2"),
+        ("omega", "S[e" + "1" * 5000 + ";id]"),
+        ("omega", "100000000000000000039^(1/2)"),
     ], ids=["bad-letter", "non-integer-degree", "missing-pair-argument", "negative-window",
             "nan-tolerance", "infinite-tolerance", "negative-tolerance", "zero-tolerance",
             "zero-denominator", "zero-exponent-denominator", "oversized-radical",
-            "huge-radical-exponent"])
+            "huge-radical-exponent", "huge-word-index", "huge-expression-index",
+            "unfactorable-radical-base"])
     def test_exit_code(self, capsys, argv):
         code = run_cli(*argv)
         err = capsys.readouterr().err

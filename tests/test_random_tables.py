@@ -55,6 +55,29 @@ def test_product_agrees_with_the_oracle(theta, seed):
     assert model.product_agrees(a, b, mul(a, b))
 
 
+def _aligned_by_definition(x: Element) -> bool:
+    """Each degree difference d(u) - d(v) carries one v-degree."""
+    levels = {}
+    for t in x._terms:
+        levels.setdefault(t.degree, set()).add(t.v.degree)
+    return all(len(found) == 1 for found in levels.values())
+
+
+@settings(max_examples=50, deadline=None)
+@given(theta=random_theta(), seed=SEEDS)
+def test_trusted_results_hold_no_zero_and_alignment_reads_the_degrees(theta, seed):
+    rng = rng_from_seed(seed)
+    a, b = (random_element(rng, theta, (1, 1), terms=4) for _ in range(2))
+    # the differences cancel some or all of their terms
+    results = [mul(a, b), mul(b, a), a + b, a - b, a - a, (a + b) - b, (a - b) + b,
+               a + (-a), a.adjoint(), mul(a, b).adjoint(), a.canonicalize(),
+               (a - b).canonicalize(), (mul(a, b) - mul(b, a)).canonicalize()]
+    for x in [a, b, *results]:
+        assert x._is_level_aligned() == _aligned_by_definition(x)
+    for x in results:
+        assert not any(c.is_zero for c in x._terms.values())
+
+
 @FEW
 @given(theta=random_theta(), seed=SEEDS, degree=DEGREES)
 def test_action_walks_the_rows_that_act_finds(theta, seed, degree):

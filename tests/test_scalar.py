@@ -2,12 +2,14 @@
 
 import math
 import struct
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twograph import scalar
+from twograph.errors import FactoringTooCostly
 from twograph.scalar import ExactScalar, power_of_base
 from twograph.semigroup import Permutation2D
 
@@ -327,8 +329,15 @@ def scalars_with_model(draw):
     return x, ref
 
 
+def _gaussian_with_model(re, im):
+    return ExactScalar.gaussian(re, im), ref_gaussian(re, im)
+
+
 @settings(max_examples=300, deadline=None)
 @given(scalars_with_model(), scalars_with_model())
+# Gaussian x Gaussian products, one of them 1
+@example(_gaussian_with_model(0, 1), _gaussian_with_model(0, -1))
+@example(_gaussian_with_model(Fraction(1, 2), Fraction(-1, 3)), _gaussian_with_model(-3, 4))
 def test_arithmetic_matches_the_fraction_model(left, right):
     (a, ra), (b, rb) = left, right
     assert_matches(a, ra)
@@ -344,3 +353,27 @@ def test_arithmetic_matches_the_fraction_model(left, right):
     rebuilt = from_model(ra)
     assert rebuilt == a and hash(rebuilt) == hash(a)
     assert ((a + b) - b) == a and hash((a + b) - b) == hash(a)
+
+
+def test_gaussian_product_of_one_is_the_interned_one():
+    i = ExactScalar.imag_unit()
+    assert i * -i is ExactScalar.one()
+    assert ExactScalar.gaussian(half, half) * ExactScalar.gaussian(1, -1) is ExactScalar.one()
+    # so the identity fast paths fire on it
+    x = ExactScalar.gaussian(3, 4)
+    assert (i * -i) * x is x
+
+
+def test_factoring_is_bounded():
+    # a cofactor left below FACTOR_BOUND^2 = 2^40 after trial division is prime
+    big_prime = 4294967291  # the largest prime below 2^32
+    assert str(ExactScalar.root(big_prime, half)) == f"{big_prime}^(1/2)"
+    assert ExactScalar.root(65537 ** 2, half) == ExactScalar.rational(65537)
+    assert ExactScalar.root(1048573 ** 2, half) == ExactScalar.rational(1048573)
+    assert str(ExactScalar.root(12 * big_prime, half)) == f"2*3^(1/2)*{big_prime}^(1/2)"
+    # cofactors of 2^40 or more with no prime factor below 2^20
+    for base in (100000000000000000039, 1048583 * 1048589, 1048583 ** 2):
+        start = time.perf_counter()
+        with pytest.raises(FactoringTooCostly):
+            ExactScalar.root(base, half)
+        assert time.perf_counter() - start < 1.0

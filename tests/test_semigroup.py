@@ -88,6 +88,12 @@ class TestNormalForm:
         with pytest.raises(IndexOutOfRange):
             normal_form(flip22, [("e", 3)])
 
+    @pytest.mark.parametrize("digits", [6, 5000])
+    def test_index_longer_than_any_table_refused_before_it_is_read(self, flip22, digits):
+        # 5000 digits is past int()'s 4300-digit limit
+        with pytest.raises(IndexOutOfRange, match=f"{digits} digits"):
+            word(flip22, "e1.f" + "1" * digits)
+
     def test_empty(self, theta):
         w = normal_form(theta, [])
         assert w == EMPTY_WORD and str(w) == "id" and w.length == 0
