@@ -316,12 +316,11 @@ def _dispatch(args, theta: Permutation2D, out: _Output) -> int:
     out.kv("seed", args.seed)
     out.kv("level", f"{args.level[0]},{args.level[1]}")
     out.kv("samples", args.samples)
-    all_passed = True
     for report in reports:
         for case in report.cases:
             status = "PASS" if case.passed else "FAIL"
             out.kv(f"case.{report.name}.{case.case_id}", f"{status} {case.detail}")
-            all_passed = all_passed and case.passed
+    all_passed = all(report.passed for report in reports)
     out.kv("result", "PASS" if all_passed else "FAIL")
     return 0 if all_passed else 1
 

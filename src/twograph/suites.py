@@ -4,6 +4,12 @@ Each suite returns a `SuiteReport` whose cases carry pass counts and, on
 failure, the first witness (inputs, both sides, residual). Reports are
 fully determined by (theta, seed, level, samples, float_tol).
 
+Every case is recorded through `SuiteReport.run` from one outcome per
+decision, in order: None when the decision held, else its witness string.
+A sampled case is a trial drawn `count` times; an exhaustive case is a
+generator over its decisions. Each case consumes its outcomes before the
+next case draws, so the seeded draws follow the order of the cases.
+
 This module also hosts the deliberately naive second implementations used
 as oracles: a step-by-step rewriter driven directly by the table dict (for
 confluence and degree conservation) and a brute-force common-extension
@@ -13,6 +19,7 @@ filter over a full word stratum.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -67,13 +74,22 @@ class SuiteReport:
         return all(c.passed for c in self.cases)
 
     def add(self, case_id: str, total: int, failures: list[str]) -> None:
+        detail = f"{total - len(failures)}/{total} exact"
         if failures:
-            self.cases.append(
-                CaseResult(case_id, False,
-                           f"{total - len(failures)}/{total} exact; first witness: {failures[0]}")
-            )
-        else:
-            self.cases.append(CaseResult(case_id, True, f"{total}/{total} exact"))
+            detail += f"; first witness: {failures[0]}"
+        self.cases.append(CaseResult(case_id, not failures, detail))
+
+    def run(self, case_id: str, outcomes: Iterable[str | None]) -> None:
+        """Record a case from one outcome per decision: None when the
+        decision held, else its witness. k of the N decisions passed, so
+        0 <= k <= N, and the first failed decision's witness is shown."""
+        outcomes = list(outcomes)
+        self.add(case_id, len(outcomes), [o for o in outcomes if o is not None])
+
+
+def _trials(count: int, trial: Callable[[], str | None]) -> Iterator[str | None]:
+    """The outcomes of a sampled case: `count` draws of `trial`."""
+    return (trial() for _ in range(count))
 
 
 # --- independent oracles -----------------------------------------------------
@@ -140,78 +156,65 @@ def semigroup_suite(
     rng = smp.rng_from_seed(seed)
     report = SuiteReport("semigroup")
 
-    total = 5 * samples
-    confluence_failures: list[str] = []
-    degree_failures: list[str] = []
-    for _ in range(total):
+    def three_orders():
         letters = smp.random_letters(rng, theta, rng.randint(0, 8))
-        results = []
-        deg_ok_all = True
-        for order in ("ltr", "rtl", "random"):
-            w, deg_ok = naive_normal_form(theta, letters, order, rng)
-            results.append(w)
-            deg_ok_all = deg_ok_all and deg_ok
+        runs = [naive_normal_form(theta, letters, order, rng)
+                for order in ("ltr", "rtl", "random")]
+        results = [w for w, _ in runs]
         kernel_word = normal_form(theta, letters)
-        if not (results[0] == results[1] == results[2] == kernel_word):
-            confluence_failures.append(
-                f"letters={letters} -> {[str(w) for w in results]} vs kernel {kernel_word}"
-            )
-        if not deg_ok_all:
-            degree_failures.append(f"letters={letters}")
-    report.add("confluence-3-orders", total, confluence_failures)
-    report.add("degree-conservation", total, degree_failures)
+        confluent = results[0] == results[1] == results[2] == kernel_word
+        return (
+            None if confluent
+            else f"letters={letters} -> {[str(w) for w in results]} vs kernel {kernel_word}",
+            None if all(deg_ok for _, deg_ok in runs) else f"letters={letters}",
+        )
+
+    # both cases decide on the same draws
+    outcomes = [three_orders() for _ in range(5 * samples)]
+    report.run("confluence-3-orders", (confluence for confluence, _ in outcomes))
+    report.run("degree-conservation", (degree for _, degree in outcomes))
 
     words = words_up_to(theta, level)
-    split_failures: list[str] = []
-    split_total = 0
-    for w in words:
-        for a in range(w.degree[0] + 1):
-            for b in range(w.degree[1] + 1):
-                split_total += 1
-                w1, w2 = factor_at(theta, w, (a, b))
-                if concat(theta, w1, w2) != w or w1.degree != (a, b):
-                    split_failures.append(f"w={w} delta=({a},{b}) -> ({w1},{w2})")
-    report.add("factor-round-trip", split_total, split_failures)
+    splits = [
+        (w, a, b) for w in words
+        for a in range(w.degree[0] + 1) for b in range(w.degree[1] + 1)
+    ]
 
-    unique_failures: list[str] = []
-    unique_total = 0
-    for w in words:
-        for a in range(w.degree[0] + 1):
-            for b in range(w.degree[1] + 1):
-                unique_total += 1
-                rest = deg_sub(w.degree, (a, b))
-                hits = sum(
-                    1
-                    for w1 in enumerate_words(theta, (a, b))
-                    for w2 in enumerate_words(theta, rest)
-                    if concat(theta, w1, w2) == w
-                )
-                if hits != 1:
-                    unique_failures.append(f"w={w} delta=({a},{b}) has {hits} splits")
-    report.add("factor-uniqueness", unique_total, unique_failures)
+    def round_trip(w, a, b):
+        w1, w2 = factor_at(theta, w, (a, b))
+        if concat(theta, w1, w2) != w or w1.degree != (a, b):
+            return f"w={w} delta=({a},{b}) -> ({w1},{w2})"
+    report.run("factor-round-trip", (round_trip(*split) for split in splits))
 
-    cancel_failures: list[str] = []
-    cancel_total = 0
+    def unique_split(w, a, b):
+        rest = deg_sub(w.degree, (a, b))
+        hits = sum(
+            1
+            for w1 in enumerate_words(theta, (a, b))
+            for w2 in enumerate_words(theta, rest)
+            if concat(theta, w1, w2) == w
+        )
+        if hits != 1:
+            return f"w={w} delta=({a},{b}) has {hits} splits"
+    report.run("factor-uniqueness", (unique_split(*split) for split in splits))
+
     by_degree: dict[Degree, list[Word]] = {}
     for w in words:
         by_degree.setdefault(w.degree, []).append(w)
-    for w in words:
-        for group in by_degree.values():
-            cancel_total += 1
-            products = {concat(theta, w, a) for a in group}
-            if len(products) != len(group):
-                cancel_failures.append(f"left factor {w} collapses degree class")
-    report.add("cancellativity", cancel_total, cancel_failures)
+    report.run("cancellativity", (
+        None if len({concat(theta, w, a) for a in group}) == len(group)
+        else f"left factor {w} collapses degree class"
+        for w in words for group in by_degree.values()
+    ))
 
-    ce_failures: list[str] = []
-    for _ in range(samples):
+    def extensions():
         u = smp.random_word(rng, theta, level)
         v = smp.random_word(rng, theta, level)
         fast = sorted(common_extensions(theta, u, v), key=lambda p: (p[0].key, p[1].key))
         brute = brute_force_common_extensions(theta, u, v)
         if fast != brute:
-            ce_failures.append(f"u={u} v={v}: {len(fast)} vs {len(brute)} pairs")
-    report.add("common-extensions-vs-brute", samples, ce_failures)
+            return f"u={u} v={v}: {len(fast)} vs {len(brute)} pairs"
+    report.run("common-extensions-vs-brute", _trials(samples, extensions))
     return report
 
 
@@ -222,17 +225,15 @@ def algebra_suite(
     report = SuiteReport("algebra")
     one = Element.unit(theta)
 
-    failures: list[str] = []
-    for _ in range(samples):
+    def associativity():
         a = smp.random_element(rng, theta, level)
         b = smp.random_element(rng, theta, level)
         c = smp.random_element(rng, theta, level)
         if not (mul(mul(a, b), c) - mul(a, mul(b, c))).is_zero():
-            failures.append(f"A={a} B={b} C={c}")
-    report.add("associativity", samples, failures)
+            return f"A={a} B={b} C={c}"
+    report.run("associativity", _trials(samples, associativity))
 
-    failures = []
-    for _ in range(samples):
+    def unit_and_involution():
         a = smp.random_element(rng, theta, level)
         b = smp.random_element(rng, theta, level)
         ok = (
@@ -242,11 +243,10 @@ def algebra_suite(
             and (a.adjoint().adjoint() - a).is_zero()
         )
         if not ok:
-            failures.append(f"A={a} B={b}")
-    report.add("unit-and-involution", samples, failures)
+            return f"A={a} B={b}"
+    report.run("unit-and-involution", _trials(samples, unit_and_involution))
 
-    failures = []
-    for _ in range(samples):
+    def raising():
         t = GenTerm(
             smp.random_word(rng, theta, level), smp.random_word(rng, theta, level)
         )
@@ -254,11 +254,10 @@ def algebra_suite(
         raised = raise_level(theta, t, delta)
         base = Element(theta, {t: ExactScalar.one()})
         if not (raised - base).is_zero():
-            failures.append(f"t={t} delta={delta}")
-    report.add("defect-free-raising", samples, failures)
+            return f"t={t} delta={delta}"
+    report.run("defect-free-raising", _trials(samples, raising))
 
-    failures = []
-    for _ in range(samples):
+    def product_rule():
         a = smp.random_element(rng, theta, level, terms=2)
         b = smp.random_element(rng, theta, level, terms=2)
         product = mul(a, b)
@@ -268,7 +267,6 @@ def algebra_suite(
             for da in support_degrees(a)
             for db in support_degrees(b)
         )
-        ok = True
         for delta in sorted(degrees):
             lhs = degree_component(product, delta)
             rhs = Element.zero(theta)
@@ -276,14 +274,10 @@ def algebra_suite(
                 db = deg_sub(delta, da)
                 rhs = rhs + mul(degree_component(a, da), degree_component(b, db))
             if not (lhs - rhs).is_zero():
-                ok = False
-                break
-        if not ok:
-            failures.append(f"A={a} B={b} delta={delta}")
-    report.add("grading-product-rule", samples, failures)
+                return f"A={a} B={b} delta={delta}"
+    report.run("grading-product-rule", _trials(samples, product_rule))
 
-    failures = []
-    for _ in range(samples):
+    def gauge_automorphism():
         a = smp.random_element(rng, theta, level, terms=2)
         b = smp.random_element(rng, theta, level, terms=2)
         t = (rng.choice(smp.FOURTH_ROOTS), rng.choice(smp.FOURTH_ROOTS))
@@ -295,38 +289,35 @@ def algebra_suite(
             and (gauge(gauge(a, s), t) - gauge(a, ts)).is_zero()
         )
         if not ok:
-            failures.append(f"A={a} t={tuple(map(str, t))}")
-    report.add("gauge-star-automorphism", samples, failures)
+            return f"A={a} t={tuple(map(str, t))}"
+    report.run("gauge-star-automorphism", _trials(samples, gauge_automorphism))
 
-    failures = []
-    for _ in range(samples):
+    def bimodule():
         a = smp.random_core_element(rng, theta, 1, terms=2)
         b = smp.random_core_element(rng, theta, 1, terms=2)
         x = smp.random_element(rng, theta, level, terms=2)
         lhs = degree_component(mul(mul(a, x), b), (0, 0)).canonicalize()
         rhs = mul(mul(a, degree_component(x, (0, 0))), b)
         if not (lhs - rhs).is_zero():
-            failures.append(f"A={a} X={x} B={b}")
-    report.add("core-expectation-bimodule", samples, failures)
+            return f"A={a} X={x} B={b}"
+    report.run("core-expectation-bimodule", _trials(samples, bimodule))
 
-    window = max(level) + 3
-    model = GradedActionModel(theta, window=window)
-    failures = []
-    for _ in range(samples):
+    model = GradedActionModel(theta, window=max(level) + 3)
+
+    def product_vs_oracle():
         t1 = GenTerm(smp.random_word(rng, theta, level), smp.random_word(rng, theta, level))
         t2 = GenTerm(smp.random_word(rng, theta, level), smp.random_word(rng, theta, level))
         a = Element(theta, {t1: smp.random_coeff(rng)})
         b = Element(theta, {t2: smp.random_coeff(rng)})
         if not model.product_agrees(a, b, mul(a, b)):
-            failures.append(f"t1={t1} t2={t2}")
-    report.add("product-vs-oracle", samples, failures)
+            return f"t1={t1} t2={t2}"
+    report.run("product-vs-oracle", _trials(samples, product_vs_oracle))
 
-    failures = []
-    for _ in range(samples):
+    def trace_vs_oracle():
         x = smp.random_core_element(rng, theta, 2, terms=3)
         if model.oracle_trace(x) != md.omega(x):
-            failures.append(f"X={x}")
-    report.add("state-vs-oracle-trace", samples, failures)
+            return f"X={x}"
+    report.run("state-vs-oracle-trace", _trials(samples, trace_vs_oracle))
     return report
 
 
@@ -336,8 +327,7 @@ def modular_suite(
     rng = smp.rng_from_seed(seed)
     report = SuiteReport("modular")
 
-    failures: list[str] = []
-    for _ in range(samples):
+    def compression():
         degree = smp.random_degree(rng, level)
         u = rng.choice(enumerate_words(theta, degree))
         v = rng.choice(enumerate_words(theta, degree))
@@ -349,41 +339,33 @@ def modular_suite(
             md.omega(x) * power_of_base(theta, degree, -1) if u == v else ExactScalar.zero()
         )
         if lhs != expected:
-            failures.append(f"u={u} v={v} X={x}: {lhs} vs {expected}")
-    report.add("compression-trace-identity", samples, failures)
+            return f"u={u} v={v} X={x}: {lhs} vs {expected}"
+    report.run("compression-trace-identity", _trials(samples, compression))
 
-    failures = []
-    for _ in range(samples):
+    def commutativity():
         x = smp.random_core_element(rng, theta, 1, terms=3)
         y = smp.random_core_element(rng, theta, 2, terms=2)
         if md.omega(mul(x, y)) != md.omega(mul(y, x)):
-            failures.append(f"X={x} Y={y}")
-    report.add("trace-commutativity-on-core", samples, failures)
+            return f"X={x} Y={y}"
+    report.run("trace-commutativity-on-core", _trials(samples, commutativity))
 
-    failures = []
-    for _ in range(samples):
+    def gauge_invariance():
         a = smp.random_element(rng, theta, level)
         t = (rng.choice(smp.FOURTH_ROOTS), rng.choice(smp.FOURTH_ROOTS))
         if md.omega(gauge(a, t)) != md.omega(a):
-            failures.append(f"A={a} t={tuple(map(str, t))}")
-    report.add("state-gauge-invariance", samples, failures)
+            return f"A={a} t={tuple(map(str, t))}"
+    report.run("state-gauge-invariance", _trials(samples, gauge_invariance))
 
-    failures = []
-    for _ in range(samples):
+    def adjoint_pairing():
         a = smp.random_element(rng, theta, level, terms=2)
         b = smp.random_element(rng, theta, level, terms=2)
         if md.inner(md.tomita_s(a), b) != md.inner(md.tomita_f(b), a):
-            failures.append(f"A={a} B={b}")
-    report.add("involution-adjoint-pairing", samples, failures)
+            return f"A={a} B={b}"
+    report.run("involution-adjoint-pairing", _trials(samples, adjoint_pairing))
 
     half = Fraction(1, 2)
-    failures = []
-    gens = [
-        GenTerm(u, v)
-        for u in words_up_to(theta, (1, 1))
-        for v in words_up_to(theta, (1, 1))
-    ]
-    for t in gens:
+
+    def polar(t):
         x = Element(theta, {t: ExactScalar.gaussian(1, -1)})
         ok = (
             (md.tomita_s(x) - md.modular_conjugation(md.modular_power(half, x))).is_zero()
@@ -392,12 +374,14 @@ def modular_suite(
             and (md.modular_conjugation(md.modular_conjugation(x)) - x).is_zero()
         )
         if not ok:
-            failures.append(f"t={t}")
-    report.add("polar-relations", len(gens), failures)
+            return f"t={t}"
 
-    failures = []
+    small = words_up_to(theta, (1, 1))
+    report.run("polar-relations", (polar(GenTerm(u, v)) for u in small for v in small))
+
     exponents = [Fraction(1), Fraction(-1), half, Fraction(2)]
-    for _ in range(samples):
+
+    def multiplicative():
         a = smp.random_element(rng, theta, level, terms=2)
         b = smp.random_element(rng, theta, level, terms=2)
         ok = all(
@@ -406,24 +390,20 @@ def modular_suite(
             for z in exponents
         )
         if not ok:
-            failures.append(f"A={a} B={b}")
-    report.add("modular-powers-multiplicative", samples, failures)
+            return f"A={a} B={b}"
+    report.run("modular-powers-multiplicative", _trials(samples, multiplicative))
 
-    failures = []
-    trials = max(1, samples // 20)
-    for _ in range(trials):
+    def gram_positivity():
         basis = smp.random_independent_basis(rng, theta, rng.randint(2, 8), level)
         if not md.gram_is_positive_definite(md.gram_matrix(basis)):
-            failures.append(f"Gram matrix not positive definite on basis size {len(basis)}")
-    report.add("gram-positivity", trials, failures)
+            return f"Gram matrix not positive definite on basis size {len(basis)}"
+    report.run("gram-positivity", _trials(max(1, samples // 20), gram_positivity))
 
-    failures = []
-    spot_trials = max(1, samples // 10)
-    for _ in range(spot_trials):
+    def faithfulness():
         a = smp.random_element(rng, theta, level, terms=3)
         if md.omega(mul(a.adjoint(), a)).is_zero and not a.is_zero():
-            failures.append(f"A={a}")
-    report.add("state-faithfulness-spot", spot_trials, failures)
+            return f"A={a}"
+    report.run("state-faithfulness-spot", _trials(max(1, samples // 10), faithfulness))
     return report
 
 
@@ -433,39 +413,36 @@ def kms_suite(
     rng = smp.rng_from_seed(seed)
     report = SuiteReport("kms")
 
-    failures: list[str] = []
-    for _ in range(samples):
+    def kms_identity():
         a = smp.random_element(rng, theta, level)
         b = smp.random_element(rng, theta, level)
         ok, lhs, rhs = md.kms_check(a, b)
         if not ok:
-            failures.append(f"A={a} B={b}: {lhs} vs {rhs}")
-    report.add("kms-identity-exact", samples, failures)
+            return f"A={a} B={b}: {lhs} vs {rhs}"
+    report.run("kms-identity-exact", _trials(samples, kms_identity))
 
-    failures = []
     words = words_up_to(theta, level)
     one = ExactScalar.one()
-    times = (0.37, 1.0, 3.14159)
-    for t in times:
-        torus_point = (theta.m ** (-1j * t), theta.n ** (-1j * t))
-        # one row {S[u;v]: 1 for every v} per call; both maps act termwise,
-        # so each term is compared exactly as if it were flowed alone
-        for u in words:
-            row = Element(theta, {GenTerm(u, v): one for v in words})
-            flowed = md.modular_flow(t, row)
-            gauged = gauge_float(row, torus_point)
-            for term, value in flowed.items():
-                residual = abs(value - gauged[term])
-                if residual >= float_tol:
-                    failures.append(f"t={t} term={term} residual={residual}")
-    report.add("flow-equals-gauge-float", len(words) ** 2 * len(times), failures)
 
-    failures = []
-    for _ in range(samples):
+    def flow_vs_gauge():
+        for t in (0.37, 1.0, 3.14159):
+            torus_point = (theta.m ** (-1j * t), theta.n ** (-1j * t))
+            # one row {S[u;v]: 1 for every v} per call; both maps act termwise,
+            # so each term is compared exactly as if it were flowed alone
+            for u in words:
+                row = Element(theta, {GenTerm(u, v): one for v in words})
+                gauged = gauge_float(row, torus_point)
+                for term, value in md.modular_flow(t, row).items():
+                    residual = abs(value - gauged[term])
+                    yield (None if residual < float_tol
+                           else f"t={t} term={term} residual={residual}")
+    report.run("flow-equals-gauge-float", flow_vs_gauge())
+
+    def imaginary_time():
         a = smp.random_element(rng, theta, level)
         if not (md.modular_flow("i", a) - md.modular_power(-1, a)).is_zero():
-            failures.append(f"A={a}")
-    report.add("imaginary-time-flow-is-inverse-modular", samples, failures)
+            return f"A={a}"
+    report.run("imaginary-time-flow-is-inverse-modular", _trials(samples, imaginary_time))
     return report
 
 
@@ -474,136 +451,105 @@ def endo_suite(
 ) -> SuiteReport:
     rng = smp.rng_from_seed(seed)
     report = SuiteReport("endo")
-    one = Element.unit(theta)
 
-    multidegrees = [(1, 0), (0, 1), (1, 1), (2, 1)]
     # `UnitaryPair` decides twistedness: a pair that is not twisted fails
     # this case with its residual, and the later cases run on the pairs
     # that were built
     pairs = {}
-    failures = []
-    for p, q in multidegrees:
+
+    def build(p, q):
         try:
             pairs[(p, q)] = en.canonical_pair(theta, p, q)
         except NotTwisted as exc:
-            failures.append(f"(p,q)=({p},{q}): {exc}")
-    report.add("canonical-pairs-twisted", len(multidegrees), failures)
+            return f"(p,q)=({p},{q}): {exc}"
+    report.run("canonical-pairs-twisted",
+               (build(p, q) for p, q in ((1, 0), (0, 1), (1, 1), (2, 1))))
 
-    failures = []
-    per = max(1, samples // 2)
-    for (p, q), pair in pairs.items():
-        lam = en.Endomorphism(pair)
-        words = enumerate_words(theta, (p, q))
-        for _ in range(per):
-            x = smp.random_element(rng, theta, level, terms=2)
-            w = rng.choice(words)
-            sw = Element.gen(theta, w, EMPTY_WORD)
-            if not (mul(lam.apply(x), sw) - mul(sw, x)).is_zero():
-                failures.append(f"(p,q)=({p},{q}) X={x} w={w}")
-    report.add("canonical-intertwining", len(pairs) * per, failures)
+    def intertwining():
+        for (p, q), pair in pairs.items():
+            lam = en.Endomorphism(pair)
+            words = enumerate_words(theta, (p, q))
+            for _ in range(max(1, samples // 2)):
+                x = smp.random_element(rng, theta, level, terms=2)
+                w = rng.choice(words)
+                sw = Element.gen(theta, w, EMPTY_WORD)
+                yield (None if (mul(lam.apply(x), sw) - mul(sw, x)).is_zero()
+                       else f"(p,q)=({p},{q}) X={x} w={w}")
+    report.run("canonical-intertwining", intertwining())
 
-    failures = []
-    round_total = 0
-    for p, q in ((1, 0), (0, 1), (1, 1)):
-        pair = pairs.get((p, q))
-        if pair is None:
-            continue
-        round_total += 1
-        lam = en.Endomorphism(pair)
-        e_imgs, f_imgs = lam.generator_images()
-        recovered = en.pair_from_generator_map(theta, e_imgs, f_imgs)
-        if not recovered.equals(pair):
-            failures.append(f"canonical ({p},{q})")
-    for _ in range(3):
-        round_total += 1
-        w = smp.random_unitary(rng, theta)
-        pair = en.inner_pair(w)
-        lam = en.Endomorphism(pair)
-        e_imgs, f_imgs = lam.generator_images()
-        recovered = en.pair_from_generator_map(theta, e_imgs, f_imgs)
-        if not recovered.equals(pair):
-            failures.append(f"inner pair of {w}")
-    report.add("pair-endo-round-trip", round_total, failures)
+    def recovers(pair):
+        e_imgs, f_imgs = en.Endomorphism(pair).generator_images()
+        return en.pair_from_generator_map(theta, e_imgs, f_imgs).equals(pair)
+
+    def pair_round_trips():
+        for p, q in ((1, 0), (0, 1), (1, 1)):
+            if (p, q) in pairs:
+                yield None if recovers(pairs[(p, q)]) else f"canonical ({p},{q})"
+        for _ in range(3):
+            w = smp.random_unitary(rng, theta)
+            yield None if recovers(en.inner_pair(w)) else f"inner pair of {w}"
+    report.run("pair-endo-round-trip", pair_round_trips())
 
     if {(1, 0), (0, 1), (1, 1)} <= pairs.keys():
-        failures = []
         composite = en.compose(
             en.Endomorphism(pairs[(1, 0)]), en.Endomorphism(pairs[(0, 1)])
         )
-        if not composite.equals(pairs[(1, 1)]):
-            failures.append("shift composition mismatch")
-        report.add("shift-composition", 1, failures)
+        report.run("shift-composition", [
+            None if composite.equals(pairs[(1, 1)]) else "shift composition mismatch"
+        ])
 
-    failures = []
-    count = max(1, samples // 5)
-    for _ in range(count):
+    gens = [Element.gen(theta, Word((i,), ()), EMPTY_WORD) for i in range(1, theta.m + 1)]
+    gens += [Element.gen(theta, Word((), (j,)), EMPTY_WORD) for j in range(1, theta.n + 1)]
+
+    def inner_conjugation():
         w = smp.random_unitary(rng, theta)
         lam = en.Endomorphism(en.inner_pair(w))
         w_star = w.adjoint()
-        gens = [Element.gen(theta, Word((i,), ()), EMPTY_WORD) for i in range(1, theta.m + 1)]
-        gens += [Element.gen(theta, Word((), (j,)), EMPTY_WORD) for j in range(1, theta.n + 1)]
-        ok = all(
-            (lam.apply(g) - mul(mul(w, g), w_star)).is_zero() for g in gens
-        )
-        if not ok:
-            failures.append(f"W={w}")
-    report.add("inner-pairs-give-conjugation", count, failures)
+        if not all((lam.apply(g) - mul(mul(w, g), w_star)).is_zero() for g in gens):
+            return f"W={w}"
+    report.run("inner-pairs-give-conjugation", _trials(max(1, samples // 5), inner_conjugation))
 
     if {(1, 0), (0, 1)} <= pairs.keys():
-        failures = []
         p1, p2 = pairs[(1, 0)], pairs[(0, 1)]
         p3 = en.inner_pair(smp.random_unitary(rng, theta))
         lhs = en.pair_product(en.pair_product(p3, p2), p1)
         rhs = en.pair_product(p3, en.pair_product(p2, p1))
-        if not lhs.equals(rhs):
-            failures.append("associativity of the pair product")
-        report.add("pair-product-associative", 1, failures)
+        report.run("pair-product-associative", [
+            None if lhs.equals(rhs) else "associativity of the pair product"
+        ])
 
-    failures = []
-    count = max(1, samples // 10)
-    for _ in range(count):
+    def gauge_conjugation():
         w = smp.random_unitary(rng, theta)
         pair = en.inner_pair(w)
         lam = en.Endomorphism(pair)
         t = (rng.choice(smp.FOURTH_ROOTS), rng.choice(smp.FOURTH_ROOTS))
         t_inv = (t[0].conjugate(), t[1].conjugate())
-        conjugated = en.UnitaryPair(gauge(pair.U, t), gauge(pair.V, t))
-        lam_conj = en.Endomorphism(conjugated)
-        gens = [Element.gen(theta, Word((1,), ()), EMPTY_WORD),
-                Element.gen(theta, Word((), (1,)), EMPTY_WORD)]
+        lam_conj = en.Endomorphism(en.UnitaryPair(gauge(pair.U, t), gauge(pair.V, t)))
         ok = all(
             (gauge(lam.apply(gauge(g, t_inv)), t) - lam_conj.apply(g)).is_zero()
-            for g in gens
+            for g in (gens[0], gens[theta.m])  # s_e1 and s_f1
         )
         if not ok:
-            failures.append(f"W={w} t={tuple(map(str, t))}")
-    report.add("gauge-conjugation-of-pairs", count, failures)
+            return f"W={w} t={tuple(map(str, t))}"
+    report.run("gauge-conjugation-of-pairs", _trials(max(1, samples // 10), gauge_conjugation))
 
-    failures = []
     lam_id = en.Endomorphism.identity(theta)
-    checks = [("identity", lam_id, (1, 2))]
+    lams = [("identity", lam_id)]
     if (1, 1) in pairs:
-        checks.append(("canonical(1,1)", en.Endomorphism(pairs[(1, 1)]), (1, 2)))
-    total = 0
-    for label, lam, levels in checks:
-        for k in levels:
-            total += 1
-            if not en.ad_product_check(lam, k):
-                failures.append(f"{label} at level {k}")
-    report.add("conjugation-cascade-on-core", total, failures)
+        lams.append(("canonical(1,1)", en.Endomorphism(pairs[(1, 1)])))
+    report.run("conjugation-cascade-on-core", (
+        None if en.ad_product_check(lam, k) else f"{label} at level {k}"
+        for label, lam in lams for k in (1, 2)
+    ))
 
-    failures = []
-    fixtures = [
-        ("identity-core", en.preserves_subalgebra(lam_id, "core", 1), True),
-        ("identity-diagonal", en.preserves_subalgebra(lam_id, "diagonal", 2), True),
-    ]
+    fixtures = [("identity-core", lam_id, "core", 1), ("identity-diagonal", lam_id, "diagonal", 2)]
     if (1, 1) in pairs:
-        lam = en.Endomorphism(pairs[(1, 1)])
-        fixtures.append(("canonical11-core", en.preserves_subalgebra(lam, "core", 1), True))
-    for label, got, want in fixtures:
-        if got != want:
-            failures.append(f"{label}: {got} != {want}")
-    report.add("subalgebra-preservation-fixtures", len(fixtures), failures)
+        fixtures.append(("canonical11-core", lams[1][1], "core", 1))
+    # every fixture must be preserved; a witness reads `<label>: <got> != <wanted>`
+    report.run("subalgebra-preservation-fixtures", (
+        None if en.preserves_subalgebra(lam, which, k) else f"{label}: False != True"
+        for label, lam, which, k in fixtures
+    ))
 
     _gallery_cases(theta, rng, samples, report)
     return report
@@ -613,57 +559,57 @@ def _gallery_cases(theta, rng, samples, report) -> None:
     is_flip = theta.m == theta.n and theta == Permutation2D.flip(theta.m, theta.n)
     is_identity = theta == Permutation2D.identity(theta.m, theta.n)
 
-    failures: list[str] = []
-    count = max(1, samples // 5)
     commutant = [
         mul(Element.gen(theta, EMPTY_WORD, Word((), (j,))),
             Element.gen(theta, Word((i,), ()), EMPTY_WORD))
         for i in range(1, theta.m + 1)
         for j in range(1, theta.n + 1)
     ]
-    for _ in range(count):
+
+    def commutant_criterion():
         u = smp.random_unitary(rng, theta)
         twisted, _ = en.twisted_check(u, u)
         commutes = all((mul(u, c) - mul(c, u)).is_zero() for c in commutant)
         if twisted != commutes:
-            failures.append(f"U={u}: twisted={twisted} commutant={commutes}")
+            return f"U={u}: twisted={twisted} commutant={commutes}"
         if is_flip and not twisted:
-            failures.append(f"U={u}: flip table must make (U,U) twisted")
-    report.add("pair-UU-commutant-criterion", count, failures)
+            return f"U={u}: flip table must make (U,U) twisted"
+    report.run("pair-UU-commutant-criterion",
+               _trials(max(1, samples // 5), commutant_criterion))
 
     # the gallery builds each pair through `UnitaryPair`, which decides
     # twistedness and raises NotTwisted with the residual
     if is_flip:
-        report.add("gallery-ex312", 1, _ex312_failures(theta))
+        report.run("gallery-ex312", [_ex312_failure(theta)])
 
     if is_identity and theta.m == theta.n:
-        report.add("gallery-ex313", 1, _refusal(lambda: en.gallery(theta, "ex313")))
+        report.run("gallery-ex313", [_refusal(lambda: en.gallery(theta, "ex313"))])
 
     if is_identity and theta.m >= 2 and theta.n >= 2:
-        report.add("gallery-ex311", 1, _refusal(lambda: en.gallery(theta, "ex311")))
+        report.run("gallery-ex311", [_refusal(lambda: en.gallery(theta, "ex311"))])
 
     scalar_i = Element.unit(theta).scaled(ExactScalar.imag_unit())
-    report.add("gallery-ex310-central-scalars", 1,
-               _refusal(lambda: en.gallery(theta, "ex310", u=scalar_i, v=scalar_i)))
+    report.run("gallery-ex310-central-scalars",
+               [_refusal(lambda: en.gallery(theta, "ex310", u=scalar_i, v=scalar_i))])
 
 
-def _ex312_failures(theta: Permutation2D) -> list[str]:
-    """The mixing pair of the flip table: centrality, involution, the
-    mixing relation and the cascade identity, or the NotTwisted text with
-    its residual when the gallery's pair is not twisted."""
+def _ex312_failure(theta: Permutation2D) -> str | None:
+    """The mixing pair of the flip table, decided as one: the first failure
+    of centrality, involution, the mixing relation and the cascade identity,
+    or the NotTwisted text with its residual when the gallery's pair is not
+    twisted; None when all hold."""
     try:
         pair = en.gallery(theta, "ex312")
     except NotTwisted as exc:
-        return [str(exc)]
-    failures = []
+        return str(exc)
     lam = en.Endomorphism(pair)
     gens = [Element.gen(theta, Word((i,), ()), EMPTY_WORD) for i in range(1, theta.m + 1)]
     gens += [Element.gen(theta, Word((), (j,)), EMPTY_WORD) for j in range(1, theta.n + 1)]
     for g in gens:
         if not (mul(pair.U, g) - mul(g, pair.U)).is_zero():
-            failures.append(f"centrality at {g}")
+            return f"centrality at {g}"
         if not (lam.apply(lam.apply(g)) - g).is_zero():
-            failures.append(f"involution at {g}")
+            return f"involution at {g}"
     # the mixing relation s_{f_j}* s_{e_i} = [i==j] sum_k s_{e_k} s_{f_k}*
     mixing = Element(theta, {
         GenTerm(Word((k,), ()), Word((), (k,))): ExactScalar.one()
@@ -675,21 +621,21 @@ def _ex312_failures(theta: Permutation2D) -> list[str]:
                        Element.gen(theta, Word((i,), ()), EMPTY_WORD))
             expected = mixing if i == j else Element.zero(theta)
             if not (prod - expected).is_zero():
-                failures.append(f"mixing relation at (i,j)=({i},{j})")
+                return f"mixing relation at (i,j)=({i},{j})"
     if not en.ad_product_check(lam, 1) or not en.ad_product_check(lam, 2):
-        failures.append("cascade identity for the mixing pair")
-    return failures
+        return "cascade identity for the mixing pair"
+    return None
 
 
-def _refusal(build) -> list[str]:
-    """The failures of a case whose only decision is that `build()` makes its
-    pair: empty, or the text of the package error that refused it (NotTwisted
+def _refusal(build) -> str | None:
+    """The outcome of a case whose only decision is that `build()` makes its
+    pair: None, or the text of the package error that refused it (NotTwisted
     carries its residual); any other exception is a bug and propagates."""
     try:
         build()
     except TwoGraphError as exc:
-        return [str(exc)]
-    return []
+        return str(exc)
+    return None
 
 
 def run_suite(

@@ -3,10 +3,16 @@ kernel: the product, the oracle, the state, and twisted pairs with their
 endomorphisms. The fixture tables are three points of this space; each test
 here draws a fresh table and a seed for the elements."""
 
+import contextlib
+import io
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from twograph.algebra import Element, mul
+from twograph.cli import main
 from twograph.endo import (
     Endomorphism,
     UnitaryPair,
@@ -27,7 +33,7 @@ from twograph.sampling import (
     random_unitary,
     rng_from_seed,
 )
-from twograph.semigroup import enumerate_words
+from twograph.semigroup import enumerate_words, theta_text
 
 from conftest import random_theta
 
@@ -168,3 +174,19 @@ def test_pairs_built_without_a_decision_are_twisted(theta, seed):
         assert twisted_check(pair.U, pair.V) == (True, None)
         decided = UnitaryPair(pair.U, pair.V)
         assert UnitaryPair._trusted(pair.U, pair.V).W == decided.W == pair.W
+
+
+@FEW
+@given(theta=random_theta(), seed=SEEDS)
+def test_check_all_passes(theta, seed):
+    # a function-scoped tmp_path is shared by every example, so each example
+    # writes its own table file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "theta.txt")
+        with open(path, "w") as fh:
+            fh.write(theta_text(theta))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["check", "all", "--theta", path, "--seed", str(seed),
+                         "--level", "1,1", "--samples", "8", "--format", "records"])
+    assert (code, out.getvalue().splitlines()[-1]) == (0, "result\tPASS"), out.getvalue()

@@ -1,9 +1,12 @@
 """Every named verification suite passes for both reference tables."""
 
+import re
+
 import pytest
 
-from twograph import endo, modular
+from twograph import endo, modular, suites
 from twograph.algebra import GenTerm
+from twograph.cli import main
 from twograph.endo import gallery
 from twograph.semigroup import word
 from twograph.suites import SUITE_NAMES, kms_suite, run_suite
@@ -74,3 +77,63 @@ def test_a_gallery_bug_is_not_recorded_as_a_failed_check(id22, monkeypatch):
     monkeypatch.setattr(endo, "gallery", broken_gallery)
     with pytest.raises(ZeroDivisionError, match="ex311"):
         run_suite("endo", id22, seed=0, level=(1, 1), samples=2, float_tol=1e-9)
+
+
+def _pass_counts(reports):
+    """(passed, total) read off every case line's `k/N exact`."""
+    return [tuple(map(int, re.match(r"(-?\d+)/(\d+) exact", c.detail).groups()))
+            for r in reports for c in r.cases]
+
+
+def _ex39_for_ex312(theta, name, **kwargs):
+    # the flip-flop pair (U, U) of ex39 is twisted but U is not central
+    return gallery(theta, "ex39" if name == "ex312" else name, **kwargs)
+
+
+@pytest.mark.parametrize("case_id, attr, patch, witness", [
+    pytest.param("pair-UU-commutant-criterion", "twisted_check", lambda u, v: (False, None),
+                 r"U=.*: twisted=False commutant=True", id="commutant-criterion"),
+    pytest.param("gallery-ex312", "gallery", _ex39_for_ex312,
+                 r"centrality at S\[e1;id\]", id="gallery-ex312"),
+])
+def test_a_failed_decision_counts_once(flip22, monkeypatch, case_id, attr, patch, witness):
+    # each case makes one decision per draw (here one), whatever number of
+    # its checks fail: the count reads 0/1, never below 0
+    monkeypatch.setattr(endo, attr, patch)
+    reports = run_suite("endo", flip22, seed=0, level=(1, 1), samples=2, float_tol=1e-9)
+    (case,) = [c for c in reports[0].cases if c.case_id == case_id]
+    assert not case.passed
+    assert re.fullmatch(r"0/1 exact; first witness: " + witness, case.detail), case.detail
+    assert all(0 <= passed <= total for passed, total in _pass_counts(reports))
+
+
+def test_run_counts_one_outcome_per_decision():
+    report = suites.SuiteReport("demo")
+    report.run("held", iter([None, None]))
+    report.run("broke", ["first", None, "second"])
+    report.run("empty", [])
+    assert [(c.case_id, c.passed, c.detail) for c in report.cases] == [
+        ("held", True, "2/2 exact"),
+        ("broke", False, "1/3 exact; first witness: first"),
+        ("empty", True, "0/0 exact"),
+    ]
+    assert not report.passed
+
+
+def test_add_is_called_once_per_printed_case(monkeypatch, capsys):
+    # the benchmark times each case by wrapping `SuiteReport.add`, so every
+    # case line of `check` must pass through it exactly once
+    calls = []
+    add = suites.SuiteReport.add
+
+    def counted_add(self, case_id, total, failures):
+        calls.append(case_id)
+        return add(self, case_id, total, failures)
+
+    monkeypatch.setattr(suites.SuiteReport, "add", counted_add)
+    code = main(["check", "all", "--m", "2", "--n", "2", "--theta", "flip",
+                 "--level", "1,1", "--samples", "4", "--format", "records"])
+    lines = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()]
+    cases = [key.split(".", 2)[2] for key in lines if key.startswith("case.")]
+    assert code == 0
+    assert cases == calls and len(cases) == 37
