@@ -1,20 +1,24 @@
 """Command-line surface.
 
+`COMMANDS` names each command's positional arguments, the flags it reads
+beyond `--m`, `--n`, `--theta` and `--format`, and a handler returning
+its `(key, value)` records and exit code. `main` prints the records as
+`key: value`, or as `key<TAB>value` with --format records; reports are
+byte-identical for identical (theta, seed, level, samples) configurations.
 Exit codes: 0 on success / all checks passing, 1 on a failed check, 2 on
-usage or expression errors and when stdout is closed early, each reported
-as one `error:` line on stderr.
-With --format records the output is line-oriented `key<TAB>value` pairs;
-reports are byte-identical for identical (theta, seed, level, samples)
-configurations.
+usage or expression errors (a flag the command does not read is one) and
+when stdout is closed early, each reported as one `error:` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import operator
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import endo as en
 from . import modular as md
@@ -48,17 +52,6 @@ MAX_CANONICAL_LETTERS = 10368
 MAX_SAMPLES = 10000
 
 
-class _Output:
-    def __init__(self, fmt: str):
-        self.fmt = fmt
-
-    def kv(self, key: str, value) -> None:
-        if self.fmt == "records":
-            print(f"{key}\t{value}")
-        else:
-            print(f"{key}: {value}")
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error as one `error:` line, like every other usage
     error, instead of a usage block; subparsers inherit it as their
@@ -77,73 +70,65 @@ def _parse_level(text: str) -> Degree:
     return (a, b)
 
 
+# add_argument keywords by argument name; a name not listed takes a plain string
+ARGUMENTS = {
+    "--m": dict(type=int, default=2, help="number of e-generators"),
+    "--n": dict(type=int, default=2, help="number of f-generators"),
+    "--theta": dict(default="identity", help="identity, flip, or the path of a table file"),
+    "--format": dict(choices=("text", "records"), default="text"),
+    "--level": dict(type=_parse_level, default=(2, 2), help="degree box, e.g. 2,2"),
+    "--seed": dict(type=int, default=0),
+    "--samples": dict(type=int, default=100),
+    "--float-tol": dict(type=float, default=1e-9),
+    "verb": dict(choices=("apply",)),
+    "pairspec": dict(help="ex312 | ex313 | ex311 | ex39(U) | ex310(U,V) | "
+                          "canonical(p,q) | inner(W) | pair(U,V)"),
+    "window": dict(type=int),
+    "level_k": dict(type=int),
+    "suite": dict(choices=SUITE_NAMES + ("all",)),
+}
+COMMON_FLAGS = "--m --n --theta --format"
+
+
+class Command(NamedTuple):
+    positionals: str  # space-separated names, in order
+    flags: str  # the flags it reads beyond COMMON_FLAGS
+    handler: Callable  # (args, theta) -> (records, exit code)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="twograph",
         description="Exact computations in the generator algebra of a "
                     "single-vertex 2-graph.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--m", type=int, default=2, help="number of e-generators")
-    common.add_argument("--n", type=int, default=2, help="number of f-generators")
-    common.add_argument("--theta", default="identity",
-                        help="builtin name (identity, flip) or path to a table file")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--level", type=_parse_level, default=(2, 2),
-                        help="degree box for random elements, e.g. 2,2")
-    common.add_argument("--samples", type=int, default=100)
-    common.add_argument("--float-tol", type=float, default=1e-9)
-    common.add_argument("--format", choices=("text", "records"), default="text")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("nf", parents=[common]).add_argument("word")
-    p_mul = sub.add_parser("mul", parents=[common])
-    p_mul.add_argument("left")
-    p_mul.add_argument("right")
-    sub.add_parser("omega", parents=[common]).add_argument("expr")
-    p_inner = sub.add_parser("inner", parents=[common])
-    p_inner.add_argument("left")
-    p_inner.add_argument("right")
-    p_tw = sub.add_parser("twisted", parents=[common])
-    p_tw.add_argument("u")
-    p_tw.add_argument("v")
-    p_endo = sub.add_parser("endo", parents=[common])
-    p_endo.add_argument("verb", choices=("apply",))
-    p_endo.add_argument("pairspec",
-                        help="ex312 | ex313 | ex311 | ex39(U) | ex310(U,V) | "
-                             "canonical(p,q) | inner(W) | pair(U,V)")
-    p_endo.add_argument("expr")
-    p_kms = sub.add_parser("kms", parents=[common])
-    p_kms.add_argument("left")
-    p_kms.add_argument("right")
-    sub.add_parser("spectrum", parents=[common]).add_argument("window", type=int)
-    sub.add_parser("gram", parents=[common]).add_argument("level_k", type=int)
-    p_oracle = sub.add_parser("oracle", parents=[common])
-    p_oracle.add_argument("left")
-    p_oracle.add_argument("right")
-    sub.add_parser("check", parents=[common]).add_argument(
-        "suite", choices=SUITE_NAMES + ("all",)
-    )
+    for name, command in COMMANDS.items():
+        cmd_parser = sub.add_parser(name)
+        for arg in f"{command.positionals} {COMMON_FLAGS} {command.flags}".split():
+            cmd_parser.add_argument(arg, **ARGUMENTS.get(arg, {}))
     return parser
 
 
 def _load_config(args) -> Permutation2D:
-    """Validate the common flags and return the table."""
+    """Validate the flags the command has and return the table."""
     if args.theta in ("identity", "flip"):
         theta = make_theta(args.m, args.n, args.theta)
     else:
         # a table file fixes m and n itself; the flags are ignored
         theta = parse_theta_text(Path(args.theta).read_text())
-    if not (args.level[0] >= 0 and args.level[1] >= 0):
-        raise TwoGraphError("level components must be nonnegative")
-    if args.level[0] > MAX_LEVEL[0] or args.level[1] > MAX_LEVEL[1]:
-        raise TwoGraphError(f"level capped at {MAX_LEVEL} for cost control")
-    if args.samples < 1:
-        raise TwoGraphError("samples must be >= 1")
-    if args.samples > MAX_SAMPLES:
-        raise TwoGraphError(f"samples capped at {MAX_SAMPLES} for cost control")
-    if not (math.isfinite(args.float_tol) and args.float_tol > 0):
-        raise TwoGraphError("float-tol must be finite and > 0")
+    if "level" in args:
+        if not (args.level[0] >= 0 and args.level[1] >= 0):
+            raise TwoGraphError("level components must be nonnegative")
+        if args.level[0] > MAX_LEVEL[0] or args.level[1] > MAX_LEVEL[1]:
+            raise TwoGraphError(f"level capped at {MAX_LEVEL} for cost control")
+    if "samples" in args:
+        if args.samples < 1:
+            raise TwoGraphError("samples must be >= 1")
+        if args.samples > MAX_SAMPLES:
+            raise TwoGraphError(f"samples capped at {MAX_SAMPLES} for cost control")
+        if not (math.isfinite(args.float_tol) and args.float_tol > 0):
+            raise TwoGraphError("float-tol must be finite and > 0")
     return theta
 
 
@@ -204,16 +189,105 @@ def _check_canonical_budget(theta: Permutation2D, p: int, q: int) -> None:
                             f"{MAX_CANONICAL_LETTERS} letters for cost control")
 
 
+def _operands(args, theta) -> list[Element]:
+    return [parse_expression(args.left, theta), parse_expression(args.right, theta)]
+
+
+def _twisted(args, theta):
+    ok, residual = en.twisted_check(parse_expression(args.u, theta),
+                                    parse_expression(args.v, theta))
+    shown = [] if ok or residual is None else [("residual", residual)]
+    return [("twisted", "true" if ok else "false"), *shown], 0 if ok else 1
+
+
+def _kms(args, theta):
+    ok, lhs, rhs = md.kms_check(*_operands(args, theta))
+    return [("lhs", lhs), ("rhs", rhs), ("equal", "true" if ok else "false")], 0 if ok else 1
+
+
+def _spectrum(args, theta):
+    points = (2 * args.window + 1) ** 2
+    if points > MAX_SPECTRUM_POINTS:
+        raise TwoGraphError(f"spectrum {args.window} computes {points} points, "
+                            f"capped at {MAX_SPECTRUM_POINTS} for cost control")
+    values = md.modular_spectrum_window(theta, args.window)
+    return [("count", len(values)),
+            *(("value", f"{value}\t{value.to_complex().real!r}") for value in values)], 0
+
+
+def _gram(args, theta):
+    k = args.level_k
+    if k > min(MAX_LEVEL):
+        raise TwoGraphError(f"gram level capped at {min(MAX_LEVEL)} for cost control")
+    size = (theta.m ** k * theta.n ** k) ** 2
+    if size > MAX_GRAM_BASIS:
+        raise TwoGraphError(f"gram {k} on {theta.m}x{theta.n} needs a basis of {size} "
+                            f"elements, capped at {MAX_GRAM_BASIS} for cost control")
+    words = enumerate_words(theta, (k, k))
+    basis = [Element.gen(theta, u, v) for u in words for v in words]
+    gram = md.gram_matrix(basis)
+    return [("size", len(basis)),
+            *(("row", "\t".join(str(x) for x in row)) for row in gram),
+            *(("row-float", "\t".join(repr(x.real) for x in row))
+              for row in md.gram_matrix_float(gram))], 0
+
+
+def _oracle(args, theta):
+    model = GradedActionModel(theta, window=max(args.level) + 4)
+    equal = model.oracle_equal(*_operands(args, theta))
+    return [("equal", "true" if equal else "false")], 0 if equal else 1
+
+
+def _check(args, theta):
+    reports = run_suite(args.suite, theta, args.seed, args.level,
+                        args.samples, args.float_tol)
+    passed = all(report.passed for report in reports)
+    return [("theta", args.theta), ("m", theta.m), ("n", theta.n), ("seed", args.seed),
+            ("level", f"{args.level[0]},{args.level[1]}"), ("samples", args.samples),
+            *((f"case.{report.name}.{case.case_id}",
+               f"{'PASS' if case.passed else 'FAIL'} {case.detail}")
+              for report in reports for case in report.cases),
+            ("result", "PASS" if passed else "FAIL")], 0 if passed else 1
+
+
+def _result(compute) -> Callable:
+    """The handler of a command whose one record is `result`, with exit 0."""
+    return lambda args, theta: ([("result", compute(args, theta))], 0)
+
+
+COMMANDS = {
+    "nf": Command("word", "", _result(
+        lambda args, theta: normal_form(theta, parse_word_letters(args.word)))),
+    "mul": Command("left right", "", _result(
+        lambda args, theta: operator.mul(*_operands(args, theta)))),
+    "omega": Command("expr", "", _result(
+        lambda args, theta: md.omega(parse_expression(args.expr, theta)))),
+    "inner": Command("left right", "", _result(
+        lambda args, theta: md.inner(*_operands(args, theta)))),
+    "twisted": Command("u v", "", _twisted),
+    "endo": Command("verb pairspec expr", "", _result(
+        lambda args, theta: en.Endomorphism(parse_pair_spec(args.pairspec, theta))
+        .apply(parse_expression(args.expr, theta)))),
+    "kms": Command("left right", "", _kms),
+    "spectrum": Command("window", "", _spectrum),
+    "gram": Command("level_k", "", _gram),
+    "oracle": Command("left right", "--level", _oracle),
+    "check": Command("suite", "--level --seed --samples --float-tol", _check),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         theta = _load_config(args)
     except (TwoGraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        code = _dispatch(args, theta, _Output(args.format))
+        records, code = COMMANDS[args.command].handler(args, theta)
+        sep = "\t" if args.format == "records" else ": "
+        for key, value in records:
+            print(f"{key}{sep}{value}")
         sys.stdout.flush()  # a closed stdout raises here, not in the exit flush
         return code
     except TwoGraphError as exc:
@@ -224,105 +298,6 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout was closed before all output was written", file=sys.stderr)
         return 2
-
-
-def _dispatch(args, theta: Permutation2D, out: _Output) -> int:
-    cmd = args.command
-
-    if cmd == "nf":
-        word = normal_form(theta, parse_word_letters(args.word))
-        out.kv("result", word)
-        return 0
-
-    if cmd == "mul":
-        product = parse_expression(args.left, theta) * parse_expression(args.right, theta)
-        out.kv("result", product)
-        return 0
-
-    if cmd == "omega":
-        out.kv("result", md.omega(parse_expression(args.expr, theta)))
-        return 0
-
-    if cmd == "inner":
-        value = md.inner(parse_expression(args.left, theta),
-                         parse_expression(args.right, theta))
-        out.kv("result", value)
-        return 0
-
-    if cmd == "twisted":
-        ok, residual = en.twisted_check(parse_expression(args.u, theta),
-                                        parse_expression(args.v, theta))
-        out.kv("twisted", "true" if ok else "false")
-        if not ok and residual is not None:
-            out.kv("residual", residual)
-        return 0 if ok else 1
-
-    if cmd == "endo":
-        pair = parse_pair_spec(args.pairspec, theta)
-        lam = en.Endomorphism(pair)
-        out.kv("result", lam.apply(parse_expression(args.expr, theta)))
-        return 0
-
-    if cmd == "kms":
-        ok, lhs, rhs = md.kms_check(parse_expression(args.left, theta),
-                                    parse_expression(args.right, theta))
-        out.kv("lhs", lhs)
-        out.kv("rhs", rhs)
-        out.kv("equal", "true" if ok else "false")
-        return 0 if ok else 1
-
-    if cmd == "spectrum":
-        points = (2 * args.window + 1) ** 2
-        if points > MAX_SPECTRUM_POINTS:
-            raise TwoGraphError(f"spectrum {args.window} computes {points} points, "
-                                f"capped at {MAX_SPECTRUM_POINTS} for cost control")
-        values = md.modular_spectrum_window(theta, args.window)
-        out.kv("count", len(values))
-        for value in values:
-            out.kv("value", f"{value}\t{value.to_complex().real!r}")
-        return 0
-
-    if cmd == "gram":
-        k = args.level_k
-        if k > min(MAX_LEVEL):
-            raise TwoGraphError(f"gram level capped at {min(MAX_LEVEL)} for cost control")
-        size = (theta.m ** k * theta.n ** k) ** 2
-        if size > MAX_GRAM_BASIS:
-            raise TwoGraphError(f"gram {k} on {theta.m}x{theta.n} needs a basis of {size} "
-                                f"elements, capped at {MAX_GRAM_BASIS} for cost control")
-        words = enumerate_words(theta, (k, k))
-        basis = [Element.gen(theta, u, v) for u in words for v in words]
-        gram = md.gram_matrix(basis)
-        out.kv("size", len(basis))
-        for row in gram:
-            out.kv("row", "\t".join(str(x) for x in row))
-        for row in md.gram_matrix_float(gram):
-            out.kv("row-float", "\t".join(repr(x.real) for x in row))
-        return 0
-
-    if cmd == "oracle":
-        model = GradedActionModel(theta, window=max(args.level) + 4)
-        equal = model.oracle_equal(parse_expression(args.left, theta),
-                                   parse_expression(args.right, theta))
-        out.kv("equal", "true" if equal else "false")
-        return 0 if equal else 1
-
-    # argparse admits only the commands above and "check"
-    reports = run_suite(args.suite, theta, args.seed, args.level,
-                        args.samples, args.float_tol)
-    out.kv("theta", args.theta)
-    out.kv("m", theta.m)
-    out.kv("n", theta.n)
-    out.kv("seed", args.seed)
-    out.kv("level", f"{args.level[0]},{args.level[1]}")
-    out.kv("samples", args.samples)
-    for report in reports:
-        for case in report.cases:
-            status = "PASS" if case.passed else "FAIL"
-            out.kv(f"case.{report.name}.{case.case_id}", f"{status} {case.detail}")
-    all_passed = all(report.passed for report in reports)
-    out.kv("result", "PASS" if all_passed else "FAIL")
-    return 0 if all_passed else 1
 
 
 if __name__ == "__main__":

@@ -191,17 +191,20 @@ class Endomorphism:
         return cls(UnitaryPair.identity(theta))
 
     def word_image(self, w: Word) -> Element:
-        cached = self._word_cache.get(w)
-        if cached is not None:
-            return cached
-        if w.e_block:
-            head = self._e_images[w.e_block[0]]
-            rest = Word(w.e_block[1:], w.f_block)
-        else:
-            head = self._f_images[w.f_block[0]]
-            rest = Word((), w.f_block[1:])
-        out = mul(head, self.word_image(rest))
-        self._word_cache[w] = out
+        """lam(s_w), leftward from the longest cached suffix of w one letter
+        image at a time, memoizing each suffix on the way."""
+        cache = self._word_cache
+        out = cache.get(w)
+        if out is not None:
+            return out
+        pending = []
+        while out is None:
+            e, f = w
+            pending.append((w, self._e_images[e[0]] if e else self._f_images[f[0]]))
+            w = Word(e[1:], f) if e else Word((), f[1:])
+            out = cache.get(w)
+        for w, head in reversed(pending):
+            out = cache[w] = mul(head, out)
         return out
 
     def apply(self, x: Element) -> Element:

@@ -30,6 +30,8 @@ from .semigroup import _LETTER_RE, Permutation2D, Word, _letter_of, normal_form
 # Most digits of an integer literal and of b^ceil(|r|), the bound on what a radical literal
 # b^(r) folds into its coefficient: Python's int-to-str limit, so accepted literals print.
 MAX_LITERAL_DIGITS = 4300
+# Deepest parenthesis nesting; each level costs four frames of the recursion limit.
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+)|(?P<name>[A-Za-z]\w*)|(?P<sym>[-+*/^()\[\];.']))"
@@ -62,6 +64,7 @@ class _Parser:
         self.theta = theta
         self.tokens = _tokenize(src)
         self.index = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.index]
@@ -111,8 +114,13 @@ class _Parser:
         if kind == "number":
             return self.parse_scalar()
         if text == "(":
+            if self.depth == MAX_NESTING:
+                raise ExpressionSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", pos)
             self.advance()
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.expect(")")
             return inner
         if text == "I":

@@ -133,6 +133,11 @@ class TestBooleanCommands:
 
 
 class TestEndoCommand:
+    def test_apply_to_a_word_longer_than_the_recursion_limit(self, capsys):
+        letters = ".".join(["e1"] * (sys.getrecursionlimit() + 200))
+        code, out = capture(capsys, "endo", "apply", "canonical(1,0)", f"S[{letters};id]")
+        assert code == 0 and out.startswith("result: ")
+
     def test_gallery_apply(self, capsys):
         code, out = capture(capsys, "endo", "apply", "ex312", "S[e1;id]",
                             "--theta", "flip", "--m", "2", "--n", "2")
@@ -277,18 +282,18 @@ class TestCheckCommand:
 
 class TestConfigErrors:
     def test_level_cap(self, capsys):
-        code = run_cli("nf", "e1", "--level", "4,4")
+        code = run_cli("check", "kms", "--level", "4,4")
         assert code == 2
 
     def test_bad_samples(self, capsys):
-        code = run_cli("nf", "e1", "--samples", "0")
+        code = run_cli("check", "kms", "--samples", "0")
         assert code == 2
 
     def test_samples_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_SAMPLES", 3)
-        assert run_cli("nf", "e1", "--samples", "3") == 0
+        assert run_cli("check", "kms", "--samples", "3") == 0
         capsys.readouterr()
-        assert run_cli("nf", "e1", "--samples", "4") == 2
+        assert run_cli("check", "kms", "--samples", "4") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: samples capped at 3 for cost control\n"
@@ -371,10 +376,10 @@ class TestUsageErrors:
         ("endo", "apply", "canonical(a,1)", "I"),
         ("endo", "apply", "pair(I)", "I"),
         ("spectrum", "-1"),
-        ("kms", "S[e1;id]", "S[e1;id]", "--float-tol", "nan"),
-        ("kms", "S[e1;id]", "S[e1;id]", "--float-tol", "inf"),
-        ("kms", "S[e1;id]", "S[e1;id]", "--float-tol", "-1"),
-        ("kms", "S[e1;id]", "S[e1;id]", "--float-tol", "0"),
+        ("check", "kms", "--float-tol", "nan"),
+        ("check", "kms", "--float-tol", "inf"),
+        ("check", "kms", "--float-tol", "-1"),
+        ("check", "kms", "--float-tol", "0"),
         ("omega", "1/0"),
         ("omega", "2^(1/0)"),
         ("omega", "2^(20000)"),
@@ -382,11 +387,12 @@ class TestUsageErrors:
         ("nf", "e" + "1" * 5000, "--m", "2", "--n", "2"),
         ("omega", "S[e" + "1" * 5000 + ";id]"),
         ("omega", "100000000000000000039^(1/2)"),
+        ("omega", "(" * 300 + "I" + ")" * 300),
     ], ids=["bad-letter", "non-integer-degree", "missing-pair-argument", "negative-window",
             "nan-tolerance", "infinite-tolerance", "negative-tolerance", "zero-tolerance",
             "zero-denominator", "zero-exponent-denominator", "oversized-radical",
             "huge-radical-exponent", "huge-word-index", "huge-expression-index",
-            "unfactorable-radical-base"])
+            "unfactorable-radical-base", "deep-nesting"])
     def test_exit_code(self, capsys, argv):
         code = run_cli(*argv)
         err = capsys.readouterr().err
@@ -396,18 +402,38 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [
         ("check", "everything"),
-        ("kms", "S[e1;id]", "S[e1;id]", "--float-tol", "abc"),
-        ("nf", "e1", "--level", "x"),
+        ("check", "kms", "--float-tol", "abc"),
+        ("check", "kms", "--level", "x"),
         (),
         ("backend",),
+        ("nf", "e1", "--seed", "3"),
     ], ids=["unknown-suite", "non-float-tolerance", "malformed-level", "missing-command",
-            "removed-backend-command"])
+            "removed-backend-command", "flag-the-command-does-not-read"])
     def test_argparse_error_is_one_line(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
             run_cli(*argv)
         err = capsys.readouterr().err
         assert info.value.code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "all", "--m", "256", "--n", "256", "--samples", "1"),
+        ("oracle", "S[id;e1.e1.f1.f1]", "S[id;e1.e1.f1.f1]", "--m", "40", "--n", "40"),
+    ], ids=["check-all-256x256", "oracle-40x40"])
+    def test_oversized_enumeration_is_refused_up_front(self, capsys, argv):
+        # each would build more than MAX_WORDS words of one degree
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: degree (") and captured.err.count("\n") == 1
+        assert captured.err.endswith(f"capped at {semigroup.MAX_WORDS} for cost control\n")
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        sampling = ("--seed", "--samples", "--float-tol")
+        for name, command in cli.COMMANDS.items():
+            flags = command.flags.split()
+            assert ("--level" in flags) == (name in ("check", "oracle"))
+            assert all((flag in flags) == (name == "check") for flag in sampling)
 
 
 # sha256 of the stdout of `check all --samples 4 --level 1,1 --seed 0
@@ -434,3 +460,67 @@ def test_check_all_records_are_pinned(table, mixed23, tmp_path, monkeypatch, cap
     out = capsys.readouterr().out
     assert code == 0 and out.endswith("result\tPASS\n")
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_DIGESTS[table]
+
+
+# sha256 of the stdout in `--format text` and in `--format records`, and the
+# exit code, of every command but `check`: the README examples, the pinned
+# multi-term `endo apply`, a holding and a failing `twisted`, and an equal and
+# an unequal `oracle`. A refactor of the command line must leave them unchanged.
+COMMAND_DIGESTS = {
+    "nf": (["nf", "f1.e2", "--theta", "flip", "--m", "2", "--n", "2"], 0,
+           "06a0dae4edeb526bd70a1f21cd4697fae2ca11aa856f1842c315a00a7582600e",
+           "4c4ecb4f11b5fdd88cb4048771f83834727eea489865c519806b112ab004f74a"),
+    "mul": (["mul", "S[id;f1]", "S[e1;id]", "--theta", "flip"], 0,
+            "77d98bbda2db7f5e05de50137c8b3c522f2ceab018988e1cb8c0956a12978b9c",
+            "45dcfa7f36c752af2dce046e088d98c0fc33b989fb5ab0d8f8f7fa2201a87563"),
+    "omega": (["omega", "S[e1.f1;e1.f1]", "--m", "2", "--n", "3"], 0,
+              "3671c5ff972e1f761e19f136cf7d30727ed047dc3b99758427c0d14d1037d0b6",
+              "3b011024d2dfb6b3fb7dc762afaa5e0db5fed1df16465513b9014ed28baca422"),
+    "inner": (["inner", "S[e1;id]", "S[e1;id]"], 0,
+              "6af67a583fba9831a7e007827bed3b1ff437630cc44f4d80ce4a66db4335f507",
+              "52051abae9467f605f21b82c9bff8533223ef02be3fdc9a1ebfda43e1b099128"),
+    "twisted-fails": (["twisted", "S[e1;e2]+S[e2;e1]", "I", "--theta", "flip"], 1,
+                      "8017e74e016698f2aab67c3f23df7f41fd16777c335844e2c9dca96fd44e9733",
+                      "15e07b8c6d7a8f259addaee58406efddb91ba2086a687940ad17825e6f7420b1"),
+    "twisted-holds": (["twisted", "I", "I", "--m", "2", "--n", "3"], 0,
+                      "e458addb6e5fbc11ff0af64a70a16a3c61d68250a5df853c3453420f5240f31a",
+                      "d4f465866baa7ec6079e069f38adfc3ee5473a25972385bddb196bfca6ebd9a3"),
+    "endo-ex312": (["endo", "apply", "ex312", "S[e1;id]", "--theta", "flip"], 0,
+                   "3e098ec8c250d4a620068496df3d54844ad2bbeab376101b6b2af180637c7fcb",
+                   "5a706b9b048159d190c41b03a16c4454ddebb33f71cca09109099bd2946deb48"),
+    "endo-canonical": (["endo", "apply", "canonical(1,1)", "S[e1;f1]"], 0,
+                       "21176c0acdb1862a45eeba4c95f7eea277287e650554efe8c197e35f36375459",
+                       "44e0e536e84ea0f082ad5ddf4d0f8af562467b1aff9c74cad7e13f2567894c42"),
+    "endo-inner": (["endo", "apply", "inner(S[e1;e2]+S[e2;e1])", "S[e1;id]"], 0,
+                   "db95555bdb604debafb511abd269f0c4f5ebf68e057b4205768669421a27b9eb",
+                   "7037a934a0e057cbef3abf8e2676f228f0c55c761a0edcbac8333b9d6f6c0559"),
+    "endo-multi-term": (["endo", "apply", "inner(S[e1;e2]+S[e2;e1])",
+                         "S[e1.f1;e2]+2*S[e2;e1.f2]-S[id;f1]"], 0,
+                        "a4993c667384eaee4e9d6bdbdb6db9f023ca33b06b44dc6689b63495416f0cf4",
+                        "3ccdb4f1635305a5b7c2a8906a5d39b2b99ad5a9265b669869348126a58f68ba"),
+    "kms": (["kms", "S[e1;id]", "S[id;e1]"], 0,
+            "30b243a99c37ff650f6fccea3125f441b85c760122616a085539d160f86dc639",
+            "06d9c68f8b50898817bb2ffbec4864b1d7f86b45d1c3de2fd2916988c0026c1e"),
+    "spectrum": (["spectrum", "1", "--m", "2", "--n", "3"], 0,
+                 "f142a7aa8f83ce0063226ac3e6710016ada114581b0499e1057a17b776ec4b4f",
+                 "e7921b46d152e2b8a6b7c7ca6ee4fcbe3fdeb3a6598c73f101e750cd7a4946d0"),
+    "gram": (["gram", "1"], 0,
+             "96d3d766529496924a15643fbd038093dbaf9413f58d54f2c7feb262228e8b25",
+             "ccf61ac97b81d59d01b334f32894133b7fb016b08b13c5e3b741377cb785e9c5"),
+    "oracle-equal": (["oracle", "S[e1;e1]+S[e2;e2]", "I"], 0,
+                     "84dbbf3449afa8aef5aa604e2b55b4f8624986ac2b980e7b9289702a8b5e3d53",
+                     "abecf306adab99e14b93644ab31cbc832560a69e1614454cd14ff10554f14387"),
+    "oracle-unequal": (["oracle", "S[e1;id]", "S[e2;id]"], 1,
+                       "6f63e2dd9720abd281f961f102112b7127f3d4b26dd5c270e9efaba629026cc1",
+                       "d17df21911a98994d04f656f330fcbf0b665cb19508d8fef92656e106afee734"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("name", sorted(COMMAND_DIGESTS))
+def test_command_output_is_pinned(name, fmt, capsys):
+    argv, code, text_digest, records_digest = COMMAND_DIGESTS[name]
+    assert run_cli(*argv, "--format", fmt) == code
+    out = capsys.readouterr().out
+    expected = text_digest if fmt == "text" else records_digest
+    assert hashlib.sha256(out.encode()).hexdigest() == expected

@@ -1,5 +1,7 @@
 """Twisted pairs, the pair/endomorphism bijection, composition, examples."""
 
+import sys
+
 import pytest
 
 from twograph.algebra import Element, gauge, mul
@@ -180,6 +182,16 @@ class TestEndomorphism:
             lam = Endomorphism(pair)
             e_imgs, f_imgs = lam.generator_images()
             assert pair_from_generator_map(theta, e_imgs, f_imgs).equals(pair)
+
+    def test_word_image_of_a_word_longer_than_the_recursion_limit(self, flip22):
+        # built leftward from the longest cached suffix, without recursion
+        letters = sys.getrecursionlimit() + 100
+        long_word = Word((1,) * letters, (2,))
+        assert Endomorphism.identity(flip22).word_image(long_word) == Element.gen(
+            flip22, long_word, EMPTY_WORD)
+        lam, fresh = (Endomorphism(canonical_pair(flip22, 1, 0)) for _ in range(2))
+        head, tail = Word((1,) * (letters - 1), ()), Word((1,), (2,))
+        assert lam.word_image(long_word) == mul(fresh.word_image(head), fresh.word_image(tail))
 
     def test_bad_generator_map_rejected(self, theta):
         e_imgs = {i: Element.gen(theta, Word((1,), ()), EMPTY_WORD)

@@ -6,7 +6,7 @@ import pytest
 
 from twograph.algebra import Element
 from twograph.errors import ExpressionSyntaxError, IndexOutOfRange
-from twograph.exprs import MAX_LITERAL_DIGITS, parse_expression, parse_scalar
+from twograph.exprs import MAX_LITERAL_DIGITS, MAX_NESTING, parse_expression, parse_scalar
 from twograph.sampling import random_element, rng_from_seed
 from twograph.scalar import ExactScalar
 from twograph.semigroup import word
@@ -53,6 +53,13 @@ class TestParse:
     def test_word_normalization_inside_gen(self, flip22):
         # words are normalized by the table: f1.e2 = e1.f2 under the flip
         assert parse_expression("S[f1.e2;id]", flip22) == gen(flip22, "e1.f2", "id")
+
+    def test_nesting_past_the_bound_is_refused_at_its_parenthesis(self, theta):
+        deepest = "(" * MAX_NESTING + "I" + ")" * MAX_NESTING
+        assert parse_expression(deepest, theta) == gen(theta, "id", "id")
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse_expression("I+(" + deepest + ")", theta)
+        assert info.value.position == 2 + MAX_NESTING
 
     def test_index_out_of_range(self, theta):
         with pytest.raises(IndexOutOfRange):

@@ -213,6 +213,21 @@ class TestEnumerate:
     def test_deterministic_order(self, theta):
         assert enumerate_words(theta, (1, 1)) == enumerate_words(theta, (1, 1))
 
+    def test_words_over_the_cap_are_refused(self, id22, monkeypatch):
+        monkeypatch.setattr(semigroup, "MAX_WORDS", 8)
+        assert len(enumerate_words(id22, (1, 2))) == 8
+        with pytest.raises(DegreeTooLarge, match=r"degree \(2, 2\) on 2x2 has 2\^2\*2\^2 words, "
+                                                 r"capped at 8 for cost control"):
+            enumerate_words(id22, (2, 2))
+        with pytest.raises(DegreeTooLarge):
+            semigroup.words_up_to(id22, (2, 2))
+
+    def test_huge_degrees_are_refused_without_building_the_power(self, id22):
+        with pytest.raises(DegreeTooLarge):
+            enumerate_words(id22, (10 ** 9, 10 ** 9))
+        # on a 1x1 table every degree has one word
+        assert len(enumerate_words(semigroup.make_theta(1, 1, "identity"), (300, 300))) == 1
+
 
 class TestCommonExtensions:
     def test_flip_example(self, flip22):
