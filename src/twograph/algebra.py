@@ -27,7 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from . import semigroup
 from .errors import NotAPermutation, NotUnitModulus, ThetaMismatch
 from .scalar import ExactScalar
 from .semigroup import (
@@ -41,7 +40,7 @@ from .semigroup import (
     deg_le,
     deg_sub,
     enumerate_words,
-    factor_at,
+    prefix_at,
 )
 
 
@@ -267,30 +266,6 @@ def _accumulate(acc: dict[GenTerm, ExactScalar], t: GenTerm, c: ExactScalar) -> 
             acc[t] = s
 
 
-def _prefix(theta: Permutation2D, w: Word, meet: Degree) -> Word:
-    """The prefix of w of degree meet <= d(w).
-
-    A split that needs the kernel is looked up in the table's prefix memo
-    and stored there on a miss while the memo holds fewer than
-    `semigroup._CACHE_ENTRIES` entries.
-    """
-    e, f = w
-    p, q = meet
-    if p == len(e) and q == len(f):
-        return w
-    if not q:
-        # a split that takes no f-letter keeps the first e-letters verbatim
-        return Word(e[:p], ())
-    memo = theta._prefixes
-    key = (w, meet)
-    prefix = memo.get(key)
-    if prefix is None:
-        prefix = factor_at(theta, w, meet)[0]
-        if len(memo) < semigroup._CACHE_ENTRIES:
-            memo[key] = prefix
-    return prefix
-
-
 def mul(a: Element, b: Element) -> Element:
     """Exact product via common extensions, canonicalized.
 
@@ -301,8 +276,8 @@ def mul(a: Element, b: Element) -> Element:
     is exact. The right operand is grouped by d(u2); each class is bucketed
     by the prefix of u2 at each meet the left operand asks for (built once
     per (class, meet) on first use), and only the bucket of v1's prefix is
-    scanned. The bucket keys and v1's prefix are read through `_prefix`, so
-    a split that the kernel made for the table once, in this call or an
+    scanned. The bucket keys and v1's prefix are read through `prefix_at`,
+    so a split that the kernel made for the table once, in this call or an
     earlier one, comes from the table's prefix memo. The common-extension
     cache decides every surviving pair. Pairs are taken in the right
     operand's order, so the sums are accumulated in the same sequence as an
@@ -327,8 +302,8 @@ def mul(a: Element, b: Element) -> Element:
             if bucket is None:
                 bucket = buckets[(dc, meet)] = {}
                 for member in members:
-                    bucket.setdefault(_prefix(theta, member[1], meet), []).append(member)
-            hits += bucket.get(_prefix(theta, v1, meet), ())
+                    bucket.setdefault(prefix_at(theta, member[1], meet), []).append(member)
+            hits += bucket.get(prefix_at(theta, v1, meet), ())
         hits.sort()
         for _, u2, v2, c2 in hits:
             # multiply the coefficients only for pairs that meet

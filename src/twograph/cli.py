@@ -29,6 +29,7 @@ from .oracle import GradedActionModel
 from .semigroup import (
     Degree,
     Permutation2D,
+    clipped_count,
     make_theta,
     normal_form,
     parse_theta_text,
@@ -50,6 +51,10 @@ MAX_CANONICAL_LETTERS = 10368
 # 2,2 costs about 15 ms a sample (1.9 s at 40, 4.2 s at 200), so 10000 is
 # about 2.5 min
 MAX_SAMPLES = 10000
+# `endo apply` keeps the image of every suffix of each word, so its memory grows
+# as the square of the word length; at 2000 letters canonical(1,1) took 10.4 s
+# and 235 MB on 2x3 (an e1 word), 4.7 s and 321 MB on 3x3 (an e1.f1 word)
+MAX_ENDO_LETTERS = 2000
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -177,16 +182,24 @@ def parse_pair_spec(spec: str, theta: Permutation2D) -> en.UnitaryPair:
 
 
 def _check_canonical_budget(theta: Permutation2D, p: int, q: int) -> None:
-    """Refuse canonical(p,q) before its words are enumerated. Exponents are
-    clipped where 2^clip already exceeds the cap, so no huge power is built."""
+    """Refuse canonical(p,q) before its words are enumerated."""
     if p < 0 or q < 0:
         return  # enumerate_words reports the negative degree
-    clip = MAX_CANONICAL_LETTERS.bit_length()
-    letters = theta.m ** min(p, clip) * theta.n ** min(q, clip) * (p + q)
+    letters = clipped_count(theta, (p, q), MAX_CANONICAL_LETTERS) * (p + q)
     if letters > MAX_CANONICAL_LETTERS:
         raise TwoGraphError(f"canonical({p},{q}) on {theta.m}x{theta.n} writes "
                             f"{theta.m}^{p}*{theta.n}^{q} words of {p + q} letters, capped at "
                             f"{MAX_CANONICAL_LETTERS} letters for cost control")
+
+
+def _endo(args, theta):
+    lam = en.Endomorphism(parse_pair_spec(args.pairspec, theta))
+    x = parse_expression(args.expr, theta)
+    longest = max((w.length for t in x.terms() for w in t), default=0)
+    if longest > MAX_ENDO_LETTERS:
+        raise TwoGraphError(f"expression has a word of {longest} letters, capped at "
+                            f"{MAX_ENDO_LETTERS} letters a word for cost control")
+    return [("result", lam.apply(x))], 0
 
 
 def _operands(args, theta) -> list[Element]:
@@ -265,9 +278,7 @@ COMMANDS = {
     "inner": Command("left right", "", _result(
         lambda args, theta: md.inner(*_operands(args, theta)))),
     "twisted": Command("u v", "", _twisted),
-    "endo": Command("verb pairspec expr", "", _result(
-        lambda args, theta: en.Endomorphism(parse_pair_spec(args.pairspec, theta))
-        .apply(parse_expression(args.expr, theta)))),
+    "endo": Command("verb pairspec expr", "", _endo),
     "kms": Command("left right", "", _kms),
     "spectrum": Command("window", "", _spectrum),
     "gram": Command("level_k", "", _gram),

@@ -2,13 +2,15 @@
 
 Letters are signed ints: e_i is +i, f_j is -j (1-based). A commutation
 table is prepared once into a flat handle; all functions here are pure and
-operate on plain int tuples. `common_ext` decides a pair of comparable
-degrees with one factorization and enumerates candidates only for
-incomparable degrees.
+operate on plain int tuples. `factor` splits a word by rewriting only the
+letters that cross the cut, and `common_ext` decides a pair of
+comparable degrees with one factorization and enumerates candidates only
+for incomparable degrees.
 
 Encoding of the table: index (i-1)*n + (j-1) holds (i'-1)*n + (j'-1),
-meaning the pair e_i f_j rewrites to f_{j'} e_{i'}. The inverse table is
-used when pulling e-letters to the front.
+meaning the pair e_i f_j rewrites to f_{j'} e_{i'}. The forward table
+pulls f-letters to the front (`to_f_first`, `factor`); the inverse table
+pulls e-letters to the front (`normalize`, `concat`).
 """
 
 from itertools import product
@@ -76,22 +78,11 @@ def factor(tables, es, fs, p, q):
     """Split a canonical word at degree (p, q); caller checks bounds.
 
     Returns (e1, f1, e2, f2), both halves canonical. The prefix keeps the
-    first p e-letters verbatim; its f-letters are the first q letters of the
-    f-first form of what remains.
+    first p e-letters and the suffix the f-letters from q on, verbatim; only
+    the middle e[p:].f[:q] is rewritten, into its f-first form f1.e2.
     """
-    _, n, _, inv = tables
-    e1 = es[:p]
-    frem, erem = to_f_first(tables, es[p:], fs)
-    f1 = frem[:q]
-    es2 = []
-    fs2 = list(frem[q:])
-    for cur in erem:
-        for k in range(len(fs2) - 1, -1, -1):
-            src = inv[(cur - 1) * n + (fs2[k] - 1)]
-            cur = src // n + 1
-            fs2[k] = src % n + 1
-        es2.append(cur)
-    return e1, f1, tuple(es2), tuple(fs2)
+    f1, e2 = to_f_first(tables, es[p:], fs[:q])
+    return es[:p], f1, e2, fs[q:]
 
 
 def common_ext(tables, eu, fu, ev, fv):

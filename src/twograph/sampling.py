@@ -78,11 +78,9 @@ def random_core_element(
 FOURTH_ROOTS = [ExactScalar.gaussian(re, im) for re, im in ((1, 0), (-1, 0), (0, 1), (0, -1))]
 
 
-def random_unitary(
-    rng: random.Random, theta: Permutation2D, level: Degree = (1, 1)
-) -> Element:
-    """Random permutation unitary with fourth-root phases at a random degree."""
-    degree = random_degree(rng, level)
+def random_unitary(rng: random.Random, theta: Permutation2D) -> Element:
+    """Random permutation unitary with fourth-root phases at a random degree <= (1, 1)."""
+    degree = random_degree(rng, (1, 1))
     size = len(enumerate_words(theta, degree))
     perm = list(range(size))
     rng.shuffle(perm)

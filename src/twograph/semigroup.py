@@ -131,7 +131,7 @@ class Permutation2D:
     """The defining data (m, n, theta) with prepared rewrite tables.
 
     A table also owns the memo `_prefixes` of the word prefixes that
-    `algebra.mul` asks for, (word, meet degree) -> prefix, holding at most
+    `prefix_at` computes, (word, meet degree) -> prefix, holding at most
     `_CACHE_ENTRIES` entries. By unique factorization a prefix depends on
     nothing else. Every table starts with an empty memo, so an equal table
     built again (as each CLI invocation does) starts cold.
@@ -277,33 +277,52 @@ def concat(theta: Permutation2D, w1: Word, w2: Word) -> Word:
 
 
 def factor_at(theta: Permutation2D, w: Word, delta: Degree) -> tuple[Word, Word]:
-    """The unique split w = w1 * w2 with d(w1) = delta.
-
-    A split that takes no f-letter, or every e-letter, cuts the canonical
-    spelling as it stands; only the others go through the kernel.
-    """
+    """The unique split w = w1 * w2 with d(w1) = delta."""
     p, q = delta
     e, f = w
     if not (0 <= p <= len(e) and 0 <= q <= len(f)):
         raise DegreeTooLarge(f"cannot take degree {delta} from word of degree {w.degree}")
-    if not q:
-        return Word(e[:p], ()), Word(e[p:], f)
-    if p == len(e):
-        return Word(e, f[:q]), Word((), f[q:])
     e1, f1, e2, f2 = kernel.factor(theta._handle, e, f, p, q)
     return Word(e1, f1), Word(e2, f2)
+
+
+def prefix_at(theta: Permutation2D, w: Word, meet: Degree) -> Word:
+    """The prefix of w of degree meet <= d(w), cut as it stands when it is all
+    of w or takes no f-letter; any other split is looked up in the table's
+    memo and stored there on a miss while it holds fewer than `_CACHE_ENTRIES`."""
+    e, f = w
+    p, q = meet
+    if p == len(e) and q == len(f):
+        return w
+    if not q:
+        return Word(e[:p], ())
+    memo = theta._prefixes
+    key = (w, meet)
+    prefix = memo.get(key)
+    if prefix is None:
+        prefix = factor_at(theta, w, meet)[0]
+        if len(memo) < _CACHE_ENTRIES:
+            memo[key] = prefix
+    return prefix
 
 
 # 2^20 words of degree (2,2) on 32x32: about 1 s and 90 MB (CPython 3.11, 2-core x86_64)
 MAX_WORDS = 2 ** 20
 
 
-def _words(theta: Permutation2D, delta: Degree) -> list[Word]:
-    """Refuses more than MAX_WORDS words before any is built; exponents are
-    clipped where 2^clip already exceeds the cap, so no huge power is built."""
+def clipped_count(theta: Permutation2D, delta: Degree, cap: int) -> int:
+    """m^a * n^b for delta = (a, b), with each exponent clipped at the bit
+    length of `cap`: exact while at most `cap`, and above `cap` whenever the
+    true count is, without building a huge power."""
     a, b = delta
-    clip = MAX_WORDS.bit_length()
-    if theta.m ** min(a, clip) * theta.n ** min(b, clip) > MAX_WORDS:
+    clip = cap.bit_length()
+    return theta.m ** min(a, clip) * theta.n ** min(b, clip)
+
+
+def _words(theta: Permutation2D, delta: Degree) -> list[Word]:
+    """Refuses more than MAX_WORDS words before any is built."""
+    a, b = delta
+    if clipped_count(theta, delta, MAX_WORDS) > MAX_WORDS:
         raise DegreeTooLarge(f"degree {delta} on {theta.m}x{theta.n} has {theta.m}^{a}*"
                              f"{theta.n}^{b} words, capped at {MAX_WORDS} for cost control")
     f_blocks = list(product(range(1, theta.n + 1), repeat=b))

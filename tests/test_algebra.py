@@ -217,15 +217,15 @@ class TestPrefixMemo:
 
     @pytest.fixture
     def kernel_splits(self, monkeypatch):
-        """The (word, meet) of every split that `_prefix` sends to `factor_at`."""
-        original = algebra.factor_at
+        """The (word, meet) of every split that `prefix_at` sends to `factor_at`."""
+        original = semigroup.factor_at
         seen = []
 
         def counting_factor_at(th, w, delta):
             seen.append((w, delta))
             return original(th, w, delta)
 
-        monkeypatch.setattr(algebra, "factor_at", counting_factor_at)
+        monkeypatch.setattr(semigroup, "factor_at", counting_factor_at)
         return seen
 
     def test_kernel_runs_once_per_key(self, kernel_splits):

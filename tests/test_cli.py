@@ -138,6 +138,15 @@ class TestEndoCommand:
         code, out = capture(capsys, "endo", "apply", "canonical(1,0)", f"S[{letters};id]")
         assert code == 0 and out.startswith("result: ")
 
+    def test_a_word_over_the_length_cap_is_refused(self, capsys):
+        # every word of every term counts, the adjoint side too
+        letters = ".".join(["e1"] * (cli.MAX_ENDO_LETTERS + 1))
+        assert run_cli("endo", "apply", "canonical(1,0)", f"S[e1;id]+S[id;{letters}]") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "error: expression has a word of 2001 letters, capped at 2000 letters a word "
+            "for cost control\n")
+
     def test_gallery_apply(self, capsys):
         code, out = capture(capsys, "endo", "apply", "ex312", "S[e1;id]",
                             "--theta", "flip", "--m", "2", "--n", "2")
@@ -464,8 +473,9 @@ def test_check_all_records_are_pinned(table, mixed23, tmp_path, monkeypatch, cap
 
 # sha256 of the stdout in `--format text` and in `--format records`, and the
 # exit code, of every command but `check`: the README examples, the pinned
-# multi-term `endo apply`, a holding and a failing `twisted`, and an equal and
-# an unequal `oracle`. A refactor of the command line must leave them unchanged.
+# multi-term `endo apply`, an `endo apply` on a 200-letter mixed word, a
+# holding and a failing `twisted`, and an equal and an unequal `oracle`. A
+# refactor of the command line or of the word layer must leave them unchanged.
 COMMAND_DIGESTS = {
     "nf": (["nf", "f1.e2", "--theta", "flip", "--m", "2", "--n", "2"], 0,
            "06a0dae4edeb526bd70a1f21cd4697fae2ca11aa856f1842c315a00a7582600e",
@@ -498,6 +508,10 @@ COMMAND_DIGESTS = {
                          "S[e1.f1;e2]+2*S[e2;e1.f2]-S[id;f1]"], 0,
                         "a4993c667384eaee4e9d6bdbdb6db9f023ca33b06b44dc6689b63495416f0cf4",
                         "3ccdb4f1635305a5b7c2a8906a5d39b2b99ad5a9265b669869348126a58f68ba"),
+    "endo-long-mixed": (["endo", "apply", "canonical(1,1)",
+                         f"S[{'.'.join(['e1.f2'] * 100)};id]"], 0,
+                        "94303348397f0adc955f4b107545207f66ce270fa99dfa2bd771f1d92d3372a2",
+                        "2397156db4c80008909390c0b93427836a0f9dce04e5451a30d644cb2f79164b"),
     "kms": (["kms", "S[e1;id]", "S[id;e1]"], 0,
             "30b243a99c37ff650f6fccea3125f441b85c760122616a085539d160f86dc639",
             "06d9c68f8b50898817bb2ffbec4864b1d7f86b45d1c3de2fd2916988c0026c1e"),

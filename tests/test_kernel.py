@@ -46,6 +46,29 @@ def test_concat_of_factors_is_the_word(data):
             assert kernel.concat(tables, e1, f1, e2, f2) == (es, fs)
 
 
+class CountingTable(tuple):
+    """A flat rewrite table that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (0, 6), (6, 0), (3, 4), (6, 6)])
+def test_factor_rewrites_only_the_letters_the_prefix_takes(p, q):
+    # a split at (p, q) pulls the q f-letters the prefix takes past the
+    # |e| - p e-letters it leaves, and pushes nothing back
+    m, n, fwd, inv = plain = kernel.prepare(3, 3, random_table(random.Random(6), 3, 3))
+    fwd, inv = CountingTable(fwd), CountingTable(inv)
+    es, fs = (1, 2, 3, 1, 2, 3), (3, 2, 1, 1, 2, 3)
+    got = kernel.factor((m, n, fwd, inv), es, fs, p, q)
+    assert (fwd.reads, inv.reads) == ((len(es) - p) * q, 0)
+    assert got == kernel.factor(plain, es, fs, p, q)
+    assert kernel.concat(plain, *got) == (es, fs)
+
+
 @settings(max_examples=150, deadline=None)
 @given(table_and_letters())
 def test_normalize_of_juxtaposition_is_concat(data):
