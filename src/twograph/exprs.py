@@ -131,6 +131,8 @@ class _Parser:
             return Element.unit(self.theta).scaled(ExactScalar.imag_unit())
         if text == "S":
             return self.parse_gen()
+        if kind == "end":
+            raise ExpressionSyntaxError("unexpected end of input", pos)
         raise ExpressionSyntaxError(f"unexpected token {text!r}", pos)
 
     def parse_scalar(self) -> Element:

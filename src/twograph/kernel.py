@@ -4,16 +4,15 @@ Letters are signed ints: e_i is +i, f_j is -j (1-based). A commutation
 table is prepared once into a flat handle; all functions here are pure and
 operate on plain int tuples. `factor` splits a word by rewriting only the
 letters that cross the cut, and `common_ext` decides a pair of
-comparable degrees with one factorization and enumerates candidates only
-for incomparable degrees.
+comparable degrees with one factorization and a pair of incomparable
+degrees by comparing the two words at their meet, then walking the
+extension letter by letter and pruning every branch that leaves u.
 
 Encoding of the table: index (i-1)*n + (j-1) holds (i'-1)*n + (j'-1),
 meaning the pair e_i f_j rewrites to f_{j'} e_{i'}. The forward table
 pulls f-letters to the front (`to_f_first`, `factor`); the inverse table
 pulls e-letters to the front (`normalize`, `concat`).
 """
-
-from itertools import product
 
 BACKEND = "pure"
 
@@ -92,7 +91,8 @@ def common_ext(tables, eu, fu, ev, fv):
     If d(v) <= d(u), unique factorization leaves at most one pair: w2 is
     empty and v*w1 == u exactly when u splits at d(v) into (v, w1). One
     `factor` of u decides it, and symmetrically one of v if d(u) <= d(v).
-    Only incomparable degrees enumerate the candidates w1.
+    Incomparable degrees are decided by `_walk_from_meet`, with u and v
+    swapped when v is the longer of the two in f.
     """
     au, bu = len(eu), len(fu)
     av, bv = len(ev), len(fv)
@@ -102,14 +102,38 @@ def common_ext(tables, eu, fu, ev, fv):
     if au <= av and bu <= bv:
         pe, pf, re_, rf = factor(tables, ev, fv, au, bu)
         return [((), (), re_, rf)] if pe == eu and pf == fu else []
-    m, n, _, _ = tables
-    da = max(au, av) - av
-    db = max(bu, bv) - bv
+    if av > au:
+        return _walk_from_meet(tables, eu, fu, ev, fv)
+    return sorted((h, (), (), g) for _, g, h, _ in _walk_from_meet(tables, ev, fv, eu, fu))
+
+
+def _walk_from_meet(tables, eu, fu, ev, fv):
+    """`common_ext` when d(v) exceeds d(u) in e and falls short of it in f.
+
+    At the meet (|eu|, |fv|) u is x.u' and v is x.v' for one prefix x, or
+    there is no extension; u' is a pure f-word and v' a pure e-word. Every
+    extension is w1 = g, a pure f-word, and w2 = h, a pure e-word, with
+    v'.g == u'.h. The walk pushes g one letter at a time through the
+    e-letters left of v' with `to_f_first`, keeps a branch only while the
+    letters that come out spell u', and reads h off each leaf. Branches
+    leave the stack in increasing order of their letter, depth first, so g
+    comes out sorted.
+    """
+    n = tables[1]
+    au, bv = len(eu), len(fv)
+    xf, rest = to_f_first(tables, ev[au:], fv)
+    if ev[:au] != eu or xf != fu[:bv]:
+        return []
+    want = fu[bv:]
     out = []
-    for w1e in product(range(1, m + 1), repeat=da):
-        for w1f in product(range(1, n + 1), repeat=db):
-            ze, zf = concat(tables, ev, fv, w1e, w1f)
-            pe, pf, re_, rf = factor(tables, ze, zf, au, bu)
-            if pe == eu and pf == fu:
-                out.append((w1e, w1f, re_, rf))
+    stack = [((), rest)]
+    while stack:
+        g, es = stack.pop()
+        if len(g) == len(want):
+            out.append(((), g, es, ()))
+            continue
+        for j in range(n, 0, -1):
+            (cur,), pushed = to_f_first(tables, es, (j,))
+            if cur == want[len(g)]:
+                stack.append((g + (j,), pushed))
     return out

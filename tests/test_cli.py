@@ -33,6 +33,13 @@ class TestComputeCommands:
         assert code == 0
         assert "S[e1;f1] + S[e2;f2]" in out
 
+    def test_mul_of_far_apart_degrees(self, capsys):
+        # s_v* s_u for v = e1^20 and u = f1^20: one common extension among
+        # the 2^20 candidate words at the join
+        e20, f20 = ".".join(["e1"] * 20), ".".join(["f1"] * 20)
+        code, out = capture(capsys, "mul", f"S[id;{e20}]", f"S[{f20};id]", "--m", "2", "--n", "2")
+        assert (code, out) == (0, f"result: S[{f20};{e20}]\n")
+
     def test_omega(self, capsys):
         code, out = capture(capsys, "omega", "S[e1.f1;e1.f1]", "--m", "2", "--n", "3")
         assert code == 0 and "1/6" in out

@@ -78,6 +78,12 @@ class TestParse:
         with pytest.raises(ExpressionSyntaxError):
             parse_expression("", theta)
 
+    @pytest.mark.parametrize("src", ["I+", "2*", "-", "S[e1;f2]'*(I-"])
+    def test_input_that_ends_early_says_so_at_its_end(self, theta, src):
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse_expression(src, theta)
+        assert str(info.value) == f"unexpected end of input (at position {len(src)})"
+
     def test_mul_precedence(self, theta):
         got = parse_expression("2*S[e1;id]+S[e2;id]", theta)
         assert got == gen(theta, "e1", "id").scaled(2) + gen(theta, "e2", "id")

@@ -97,7 +97,7 @@ def brute_force_common_ext(tables, eu, fu, ev, fv):
 
 
 # how d(u) and d(v) compare: the first three and "empty" take the
-# one-factorization branches of `common_ext`, "incomparable" the enumeration
+# one-factorization branches of `common_ext`, "incomparable" the walk
 SHAPES = ("v-below-u", "u-below-v", "equal", "empty", "incomparable")
 
 
@@ -121,18 +121,24 @@ def table_and_word_pair(draw, shape):
         du, dv = (a, b + 1 + draw(st.integers(0, 1))), (a + 1 + draw(st.integers(0, 1)), b)
     if shape in ("empty", "incomparable") and draw(st.booleans()):
         du, dv = dv, du
+    return (tables, *draw_words(draw, tables, du, dv))
+
+
+def draw_words(draw, tables, du, dv):
+    """Words u and v of degrees du and dv; half the time both are prefixes
+    of one word z, so that they have a common extension."""
+    m, n, _, _ = tables
 
     def letters(k, top):
         return tuple(draw(st.lists(st.integers(1, top), min_size=k, max_size=k)))
 
     if draw(st.booleans()):
-        # u and v both prefixes of one word z, so they have a common extension
         ze, zf = letters(max(du[0], dv[0]), m), letters(max(du[1], dv[1]), n)
         eu, fu = kernel.factor(tables, ze, zf, *du)[:2]
         ev, fv = kernel.factor(tables, ze, zf, *dv)[:2]
     else:
         eu, fu, ev, fv = letters(du[0], m), letters(du[1], n), letters(dv[0], m), letters(dv[1], n)
-    return tables, eu, fu, ev, fv
+    return eu, fu, ev, fv
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -142,6 +148,48 @@ def test_common_ext_matches_brute_force(shape, data):
     tables, eu, fu, ev, fv = data.draw(table_and_word_pair(shape))
     expected = brute_force_common_ext(tables, eu, fu, ev, fv)
     assert kernel.common_ext(tables, eu, fu, ev, fv) == expected
+
+
+@st.composite
+def table_and_far_pair(draw):
+    """Incomparable u and v whose degrees differ by 1 to 3 in each component,
+    in either orientation."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    tables = kernel.prepare(m, n, random_table(random.Random(draw(st.integers(0, 2**32))), m, n))
+    a, b = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    gap = st.integers(1, 3)
+    du, dv = (a, b + draw(gap)), (a + draw(gap), b)
+    if draw(st.booleans()):
+        du, dv = dv, du
+    return (tables, *draw_words(draw, tables, du, dv))
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_and_far_pair())
+def test_common_ext_matches_brute_force_across_wide_gaps(data):
+    tables, eu, fu, ev, fv = data
+    assert kernel.common_ext(tables, eu, fu, ev, fv) == brute_force_common_ext(tables, eu, fu, ev, fv)
+
+
+def test_common_ext_of_far_apart_degrees_walks_one_branch():
+    # u = f1^40 and v = e1^40 commute on the identity table; the candidates
+    # at the join number 2^40, the walk keeps one branch of 40 letters
+    tables = kernel.prepare(2, 2, range(4))
+    ones = (1,) * 40
+    assert kernel.common_ext(tables, (), ones, ones, ()) == [((), ones, ones, ())]
+    assert kernel.common_ext(tables, ones, (), (), ones) == [(ones, (), (), ones)]
+
+
+def test_common_ext_walk_branches_in_lexicographic_order():
+    # e_i f_j = f_i e_j: pushing f_j through e1 gives f1 whatever j is, so
+    # every g extends e1^3 and leaves h = g
+    tables = kernel.prepare(2, 2, [0, 2, 1, 3])
+    u, v = ((), (1, 1, 1)), ((1, 1, 1), ())
+    expected = [((), g, g, ()) for g in product((1, 2), repeat=3)]
+    assert kernel.common_ext(tables, *u, *v) == expected == brute_force_common_ext(tables, *u, *v)
+    mirrored = [(g, (), (), g) for g in product((1, 2), repeat=3)]
+    assert kernel.common_ext(tables, *v, *u) == mirrored == brute_force_common_ext(tables, *v, *u)
 
 
 def test_selected_backend_exposed():
