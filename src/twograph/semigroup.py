@@ -122,22 +122,26 @@ def parse_word_letters(text: str) -> list[tuple[str, int]]:
     return out
 
 
-# entries kept by each word cache: the common-extension `lru_cache` and the
-# prefix memo of every table
+# entries kept by each word cache: the common-extension `lru_cache`, and on
+# every table the prefix memo and the words of its strata memo
 _CACHE_ENTRIES = 1 << 16
 
 
 class Permutation2D:
     """The defining data (m, n, theta) with prepared rewrite tables.
 
-    A table also owns the memo `_prefixes` of the word prefixes that
-    `prefix_at` computes, (word, meet degree) -> prefix, holding at most
-    `_CACHE_ENTRIES` entries. By unique factorization a prefix depends on
-    nothing else. Every table starts with an empty memo, so an equal table
-    built again (as each CLI invocation does) starts cold.
+    A table also owns two word memos, each bounded by `_CACHE_ENTRIES`:
+    `_prefixes`, (word, meet degree) -> the prefix `prefix_at` computes,
+    holding at most that many entries; and `_strata`, degree -> the tuple of
+    its words that `enumerate_words` and `words_up_to` read, holding at most
+    that many words in all (`_strata_words`). By unique factorization a
+    prefix depends on nothing else, and a stratum of degree (a, b) is the
+    m^a * n^b block pairs. Every table starts with empty memos, so an equal
+    table built again (as each CLI invocation does) starts cold.
     """
 
-    __slots__ = ("m", "n", "table", "_fwd_flat", "_handle", "_hash", "_prefixes")
+    __slots__ = ("m", "n", "table", "_fwd_flat", "_handle", "_hash", "_prefixes",
+                 "_strata", "_strata_words")
 
     def __init__(self, m: int, n: int, table: dict[tuple[int, int], tuple[int, int]]):
         if m < 1 or n < 1:
@@ -163,6 +167,8 @@ class Permutation2D:
         self._handle = kernel.prepare(m, n, self._fwd_flat)
         self._hash = hash((m, n, self._fwd_flat))
         self._prefixes: dict[tuple[Word, Degree], Word] = {}
+        self._strata: dict[Degree, tuple[Word, ...]] = {}
+        self._strata_words = 0
 
     @classmethod
     def identity(cls, m: int, n: int) -> "Permutation2D":
@@ -319,25 +325,35 @@ def clipped_count(theta: Permutation2D, delta: Degree, cap: int) -> int:
     return theta.m ** min(a, clip) * theta.n ** min(b, clip)
 
 
-def _words(theta: Permutation2D, delta: Degree) -> list[Word]:
-    """Refuses more than MAX_WORDS words before any is built."""
+def _words(theta: Permutation2D, delta: Degree) -> tuple[Word, ...]:
+    """The stratum of degree delta from the table's memo, or built and stored
+    there while the memo stays within `_CACHE_ENTRIES` words. Refuses more
+    than MAX_WORDS words before any is looked up or built."""
     a, b = delta
     if clipped_count(theta, delta, MAX_WORDS) > MAX_WORDS:
         raise DegreeTooLarge(f"degree {delta} on {theta.m}x{theta.n} has {theta.m}^{a}*"
                              f"{theta.n}^{b} words, capped at {MAX_WORDS} for cost control")
-    f_blocks = list(product(range(1, theta.n + 1), repeat=b))
-    return [Word(e, f) for e in product(range(1, theta.m + 1), repeat=a) for f in f_blocks]
+    stratum = theta._strata.get((a, b))
+    if stratum is None:
+        f_blocks = list(product(range(1, theta.n + 1), repeat=b))
+        stratum = tuple(Word(e, f) for e in product(range(1, theta.m + 1), repeat=a)
+                        for f in f_blocks)
+        if theta._strata_words + len(stratum) <= _CACHE_ENTRIES:
+            theta._strata[(a, b)] = stratum
+            theta._strata_words += len(stratum)
+    return stratum
 
 
 def enumerate_words(theta: Permutation2D, delta: Degree) -> list[Word]:
-    """All m^a * n^b canonical words of degree delta, lexicographically.
+    """All m^a * n^b canonical words of degree delta, lexicographically, in a
+    new list.
 
     Every pair of blocks is a distinct canonical word, so no rewriting is
     needed here.
     """
     if delta[0] < 0 or delta[1] < 0:
         raise DegreeTooLarge(f"degree must be nonnegative, got {delta}")
-    return _words(theta, delta)
+    return list(_words(theta, delta))
 
 
 def words_up_to(theta: Permutation2D, bound: Degree) -> list[Word]:

@@ -187,11 +187,11 @@ def semigroup_suite(
     report.run("factor-round-trip", (round_trip(*split) for split in splits))
 
     def unique_split(w, a, b):
-        rest = deg_sub(w.degree, (a, b))
+        rests = enumerate_words(theta, deg_sub(w.degree, (a, b)))
         hits = sum(
             1
             for w1 in enumerate_words(theta, (a, b))
-            for w2 in enumerate_words(theta, rest)
+            for w2 in rests
             if concat(theta, w1, w2) == w
         )
         if hits != 1:
@@ -424,13 +424,15 @@ def kms_suite(
     words = words_up_to(theta, level)
     one = ExactScalar.one()
 
+    times = [(t, (theta.m ** (-1j * t), theta.n ** (-1j * t))) for t in (0.37, 1.0, 3.14159)]
+
     def flow_vs_gauge():
-        for t in (0.37, 1.0, 3.14159):
-            torus_point = (theta.m ** (-1j * t), theta.n ** (-1j * t))
-            # one row {S[u;v]: 1 for every v} per call; both maps act termwise,
-            # so each term is compared exactly as if it were flowed alone
-            for u in words:
-                row = Element(theta, {GenTerm(u, v): one for v in words})
+        # one row {S[u;v]: 1 for every v} per call, built once for all three
+        # times; both maps act termwise, so each term is compared exactly as
+        # if it were flowed alone
+        for u in words:
+            row = Element(theta, {GenTerm(u, v): one for v in words})
+            for t, torus_point in times:
                 gauged = gauge_float(row, torus_point)
                 for term, value in md.modular_flow(t, row).items():
                     residual = abs(value - gauged[term])

@@ -212,13 +212,15 @@ class TestCheckCommand:
         assert out1 == out2
 
     def test_each_invocation_starts_with_a_cold_prefix_memo(self, capsys, monkeypatch):
-        # the prefix memo lives on the table, so a second invocation in one
-        # process builds a new table with an empty memo and prints the same bytes
+        # the prefix and strata memos live on the table, so a second invocation
+        # in one process builds a new table with empty memos and prints the
+        # same bytes
         built = []
 
         def recording_make_theta(*args):
             theta = semigroup.make_theta(*args)
             built.append((theta, len(theta._prefixes)))
+            assert not theta._strata and theta._strata_words == 0
             return theta
 
         monkeypatch.setattr(cli, "make_theta", recording_make_theta)
@@ -230,6 +232,7 @@ class TestCheckCommand:
         (first, size1), (second, size2) = built
         assert second is not first and second == first
         assert size1 == size2 == 0 and first._prefixes and second._prefixes
+        assert first._strata and second._strata == first._strata
 
     def test_a_gram_matrix_that_is_not_positive_definite_fails_its_case(
             self, monkeypatch, capsys):

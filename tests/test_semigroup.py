@@ -1,6 +1,7 @@
 """Word combinatorics: normal forms, factorization, enumeration."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,6 +224,52 @@ class TestEnumerate:
             enumerate_words(id22, (10 ** 9, 10 ** 9))
         # on a 1x1 table every degree has one word
         assert len(enumerate_words(semigroup.make_theta(1, 1, "identity"), (300, 300))) == 1
+
+
+def direct_words(theta, delta):
+    """A stratum straight from `itertools.product`, with no memo."""
+    a, b = delta
+    return [Word(e, f) for e in product(range(1, theta.m + 1), repeat=a)
+            for f in product(range(1, theta.n + 1), repeat=b)]
+
+
+class TestStrataMemo:
+    """Each table keeps the strata it enumerated; callers get fresh lists."""
+
+    def test_each_call_returns_a_new_list(self):
+        theta = make_theta(2, 3, "identity")
+        first = enumerate_words(theta, (1, 2))
+        second = enumerate_words(theta, (1, 2))
+        assert first == second and first is not second
+        first.clear()
+        second.reverse()
+        assert enumerate_words(theta, (1, 2)) == direct_words(theta, (1, 2))
+
+    @pytest.mark.parametrize("name", ["flip22", "mixed23"])
+    def test_memoized_strata_equal_a_direct_enumeration(self, name, request):
+        theta = request.getfixturevalue(name)
+        direct = [w for a in range(3) for b in range(3) for w in direct_words(theta, (a, b))]
+        assert words_up_to(theta, (2, 2)) == direct
+        assert words_up_to(theta, (2, 2)) == direct
+        assert all(enumerate_words(theta, degree) == list(stratum)
+                   for degree, stratum in theta._strata.items())
+
+    def test_an_equal_table_starts_empty(self):
+        warm = make_theta(2, 2, "flip")
+        words_up_to(warm, (2, 2))
+        cold = make_theta(2, 2, "flip")
+        assert cold == warm and len(warm._strata) == 9 and not cold._strata
+
+    def test_a_stratum_over_the_budget_is_not_stored(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "_CACHE_ENTRIES", 10)
+        theta = make_theta(2, 3, "identity")
+        assert enumerate_words(theta, (1, 1)) == direct_words(theta, (1, 1))
+        assert list(theta._strata) == [(1, 1)]
+        # 6 words stored, 18 more would pass the budget of 10
+        assert enumerate_words(theta, (1, 2)) == direct_words(theta, (1, 2))
+        assert enumerate_words(theta, (0, 1)) == direct_words(theta, (0, 1))
+        assert list(theta._strata) == [(1, 1), (0, 1)]
+        assert sum(map(len, theta._strata.values())) == theta._strata_words == 9
 
 
 class TestCommonExtensions:
