@@ -5,9 +5,10 @@ beyond `--m`, `--n`, `--theta` and `--format`, and a handler returning
 its `(key, value)` records and exit code. `main` prints the records as
 `key: value`, or as `key<TAB>value` with --format records; reports are
 byte-identical for identical (theta, seed, level, samples) configurations.
-Exit codes: 0 on success / all checks passing, 1 on a failed check, 2 on
-usage or expression errors (a flag the command does not read is one) and
-when stdout is closed early, each reported as one `error:` line on stderr.
+Exit codes: 0 on success / all checks passing, 1 on a failed check (a
+package error in a `check` case is one), 2 on usage or expression errors (a
+flag the command does not read is one), on a limit of the checker and when
+stdout is closed early, each reported as one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -246,8 +247,12 @@ def _gram(args, theta):
 
 
 def _oracle(args, theta):
-    model = GradedActionModel(theta, window=max(args.level) + 4)
-    equal = model.oracle_equal(*_operands(args, theta))
+    a, b = _operands(args, theta)
+    terms = [*a.terms(), *b.terms()]
+    # the window holds the evaluation stratum `top` and each image stratum d(z) - d(v) + d(u)
+    top = [1 + max((t.v.degree[k] for t in terms), default=0) for k in (0, 1)]
+    window = max(*top, *(top[k] - t.v.degree[k] + t.u.degree[k] for t in terms for k in (0, 1)))
+    equal = GradedActionModel(theta, window=window).oracle_equal(a, b)
     return [("equal", "true" if equal else "false")], 0 if equal else 1
 
 
@@ -282,7 +287,7 @@ COMMANDS = {
     "kms": Command("left right", "", _kms),
     "spectrum": Command("window", "", _spectrum),
     "gram": Command("level_k", "", _gram),
-    "oracle": Command("left right", "--level", _oracle),
+    "oracle": Command("left right", "", _oracle),
     "check": Command("suite", "--level --seed --samples --float-tol", _check),
 }
 

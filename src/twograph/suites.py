@@ -8,7 +8,8 @@ Every case is recorded through `SuiteReport.run` from one outcome per
 decision, in order: None when the decision held, else its witness string.
 A sampled case is a trial drawn `count` times; an exhaustive case is a
 generator over its decisions. Each case consumes its outcomes before the
-next case draws, so the seeded draws follow the order of the cases.
+next case draws, so the seeded draws follow the order of the cases. The
+code under check runs while `run` draws, so a package error fails a case.
 
 This module also hosts the deliberately naive second implementations used
 as oracles: a step-by-step rewriter driven directly by the table dict (for
@@ -36,7 +37,7 @@ from .algebra import (
     raise_level,
     support_degrees,
 )
-from .errors import NotTwisted, TwoGraphError
+from .errors import DegreeTooLarge, OutOfWindow, TwoGraphError
 from .oracle import GradedActionModel
 from .scalar import ExactScalar, power_of_base
 from .semigroup import (
@@ -82,9 +83,22 @@ class SuiteReport:
     def run(self, case_id: str, outcomes: Iterable[str | None]) -> None:
         """Record a case from one outcome per decision: None when the
         decision held, else its witness. k of the N decisions passed, so
-        0 <= k <= N, and the first failed decision's witness is shown."""
-        outcomes = list(outcomes)
-        self.add(case_id, len(outcomes), [o for o in outcomes if o is not None])
+        0 <= k <= N, and the first failed decision's witness is shown.
+
+        A `TwoGraphError` raised while a decision is drawn is that
+        decision's failure, with the error's text as its witness, and ends
+        the case. `OutOfWindow` and `DegreeTooLarge` propagate: the checker
+        is too small (an oracle window, a stratum over `MAX_WORDS`), not the
+        code under check wrong. Any other exception is a bug and propagates."""
+        drawn = []
+        try:
+            for outcome in outcomes:
+                drawn.append(outcome)
+        except (OutOfWindow, DegreeTooLarge):
+            raise
+        except TwoGraphError as exc:
+            drawn.append(str(exc))
+        self.add(case_id, len(drawn), [o for o in drawn if o is not None])
 
 
 def _trials(count: int, trial: Callable[[], str | None]) -> Iterator[str | None]:
@@ -156,23 +170,20 @@ def semigroup_suite(
     rng = smp.rng_from_seed(seed)
     report = SuiteReport("semigroup")
 
+    degree_outcomes = []  # degree-conservation decides on the same draws
+
     def three_orders():
         letters = smp.random_letters(rng, theta, rng.randint(0, 8))
         runs = [naive_normal_form(theta, letters, order, rng)
                 for order in ("ltr", "rtl", "random")]
+        degree_outcomes.append(None if all(ok for _, ok in runs) else f"letters={letters}")
         results = [w for w, _ in runs]
         kernel_word = normal_form(theta, letters)
-        confluent = results[0] == results[1] == results[2] == kernel_word
-        return (
-            None if confluent
-            else f"letters={letters} -> {[str(w) for w in results]} vs kernel {kernel_word}",
-            None if all(deg_ok for _, deg_ok in runs) else f"letters={letters}",
-        )
+        if not results[0] == results[1] == results[2] == kernel_word:
+            return f"letters={letters} -> {[str(w) for w in results]} vs kernel {kernel_word}"
 
-    # both cases decide on the same draws
-    outcomes = [three_orders() for _ in range(5 * samples)]
-    report.run("confluence-3-orders", (confluence for confluence, _ in outcomes))
-    report.run("degree-conservation", (degree for _, degree in outcomes))
+    report.run("confluence-3-orders", _trials(5 * samples, three_orders))
+    report.run("degree-conservation", degree_outcomes)
 
     words = words_up_to(theta, level)
     splits = [
@@ -302,7 +313,9 @@ def algebra_suite(
             return f"A={a} X={x} B={b}"
     report.run("core-expectation-bimodule", _trials(samples, bimodule))
 
-    model = GradedActionModel(theta, window=max(level) + 3)
+    # a product term reaches image stratum 2*level + (1, 1); the trace case
+    # reads the stratum (2, 2) of a level-2 core element
+    model = GradedActionModel(theta, window=max(2, 2 * max(level) + 1))
 
     def product_vs_oracle():
         t1 = GenTerm(smp.random_word(rng, theta, level), smp.random_word(rng, theta, level))
@@ -454,16 +467,17 @@ def endo_suite(
     rng = smp.rng_from_seed(seed)
     report = SuiteReport("endo")
 
+    # s_{e_i} and s_{f_j}, in that order
+    gens = [Element.gen(theta, Word((i,), ()), EMPTY_WORD) for i in range(1, theta.m + 1)]
+    gens += [Element.gen(theta, Word((), (j,)), EMPTY_WORD) for j in range(1, theta.n + 1)]
+
     # `UnitaryPair` decides twistedness: a pair that is not twisted fails
     # this case with its residual, and the later cases run on the pairs
     # that were built
     pairs = {}
 
     def build(p, q):
-        try:
-            pairs[(p, q)] = en.canonical_pair(theta, p, q)
-        except NotTwisted as exc:
-            return f"(p,q)=({p},{q}): {exc}"
+        pairs[(p, q)] = en.canonical_pair(theta, p, q)
     report.run("canonical-pairs-twisted",
                (build(p, q) for p, q in ((1, 0), (0, 1), (1, 1), (2, 1))))
 
@@ -492,16 +506,12 @@ def endo_suite(
             yield None if recovers(en.inner_pair(w)) else f"inner pair of {w}"
     report.run("pair-endo-round-trip", pair_round_trips())
 
+    def shift_composition():
+        composite = en.compose(en.Endomorphism(pairs[(1, 0)]), en.Endomorphism(pairs[(0, 1)]))
+        if not composite.equals(pairs[(1, 1)]):
+            return "shift composition mismatch"
     if {(1, 0), (0, 1), (1, 1)} <= pairs.keys():
-        composite = en.compose(
-            en.Endomorphism(pairs[(1, 0)]), en.Endomorphism(pairs[(0, 1)])
-        )
-        report.run("shift-composition", [
-            None if composite.equals(pairs[(1, 1)]) else "shift composition mismatch"
-        ])
-
-    gens = [Element.gen(theta, Word((i,), ()), EMPTY_WORD) for i in range(1, theta.m + 1)]
-    gens += [Element.gen(theta, Word((), (j,)), EMPTY_WORD) for j in range(1, theta.n + 1)]
+        report.run("shift-composition", _trials(1, shift_composition))
 
     def inner_conjugation():
         w = smp.random_unitary(rng, theta)
@@ -511,14 +521,15 @@ def endo_suite(
             return f"W={w}"
     report.run("inner-pairs-give-conjugation", _trials(max(1, samples // 5), inner_conjugation))
 
-    if {(1, 0), (0, 1)} <= pairs.keys():
+    def associative():
         p1, p2 = pairs[(1, 0)], pairs[(0, 1)]
         p3 = en.inner_pair(smp.random_unitary(rng, theta))
         lhs = en.pair_product(en.pair_product(p3, p2), p1)
         rhs = en.pair_product(p3, en.pair_product(p2, p1))
-        report.run("pair-product-associative", [
-            None if lhs.equals(rhs) else "associativity of the pair product"
-        ])
+        if not lhs.equals(rhs):
+            return "associativity of the pair product"
+    if {(1, 0), (0, 1)} <= pairs.keys():
+        report.run("pair-product-associative", _trials(1, associative))
 
     def gauge_conjugation():
         w = smp.random_unitary(rng, theta)
@@ -553,17 +564,16 @@ def endo_suite(
         for label, lam, which, k in fixtures
     ))
 
-    _gallery_cases(theta, rng, samples, report)
+    _gallery_cases(theta, rng, samples, report, gens)
     return report
 
 
-def _gallery_cases(theta, rng, samples, report) -> None:
+def _gallery_cases(theta, rng, samples, report, gens) -> None:
     is_flip = theta.m == theta.n and theta == Permutation2D.flip(theta.m, theta.n)
     is_identity = theta == Permutation2D.identity(theta.m, theta.n)
 
     commutant = [
-        mul(Element.gen(theta, EMPTY_WORD, Word((), (j,))),
-            Element.gen(theta, Word((i,), ()), EMPTY_WORD))
+        mul(Element.gen(theta, EMPTY_WORD, Word((), (j,))), gens[i - 1])
         for i in range(1, theta.m + 1)
         for j in range(1, theta.n + 1)
     ]
@@ -579,34 +589,31 @@ def _gallery_cases(theta, rng, samples, report) -> None:
     report.run("pair-UU-commutant-criterion",
                _trials(max(1, samples // 5), commutant_criterion))
 
-    # the gallery builds each pair through `UnitaryPair`, which decides
-    # twistedness and raises NotTwisted with the residual
+    # each gallery case is one decision: the gallery builds its pair through
+    # `UnitaryPair`, and a refusal (NotTwisted with its residual) is the witness
+    def builds(name, **kwargs):
+        en.gallery(theta, name, **kwargs)
+
     if is_flip:
-        report.run("gallery-ex312", [_ex312_failure(theta)])
+        report.run("gallery-ex312", _trials(1, lambda: _ex312_failure(theta, gens)))
 
     if is_identity and theta.m == theta.n:
-        report.run("gallery-ex313", [_refusal(lambda: en.gallery(theta, "ex313"))])
+        report.run("gallery-ex313", _trials(1, lambda: builds("ex313")))
 
     if is_identity and theta.m >= 2 and theta.n >= 2:
-        report.run("gallery-ex311", [_refusal(lambda: en.gallery(theta, "ex311"))])
+        report.run("gallery-ex311", _trials(1, lambda: builds("ex311")))
 
     scalar_i = Element.unit(theta).scaled(ExactScalar.imag_unit())
     report.run("gallery-ex310-central-scalars",
-               [_refusal(lambda: en.gallery(theta, "ex310", u=scalar_i, v=scalar_i))])
+               _trials(1, lambda: builds("ex310", u=scalar_i, v=scalar_i)))
 
 
-def _ex312_failure(theta: Permutation2D) -> str | None:
+def _ex312_failure(theta: Permutation2D, gens: list[Element]) -> str | None:
     """The mixing pair of the flip table, decided as one: the first failure
-    of centrality, involution, the mixing relation and the cascade identity,
-    or the NotTwisted text with its residual when the gallery's pair is not
-    twisted; None when all hold."""
-    try:
-        pair = en.gallery(theta, "ex312")
-    except NotTwisted as exc:
-        return str(exc)
+    of centrality, involution, the mixing relation and the cascade identity
+    on the generators `gens`; None when all hold."""
+    pair = en.gallery(theta, "ex312")
     lam = en.Endomorphism(pair)
-    gens = [Element.gen(theta, Word((i,), ()), EMPTY_WORD) for i in range(1, theta.m + 1)]
-    gens += [Element.gen(theta, Word((), (j,)), EMPTY_WORD) for j in range(1, theta.n + 1)]
     for g in gens:
         if not (mul(pair.U, g) - mul(g, pair.U)).is_zero():
             return f"centrality at {g}"
@@ -619,24 +626,12 @@ def _ex312_failure(theta: Permutation2D) -> str | None:
     })
     for i in range(1, theta.m + 1):
         for j in range(1, theta.n + 1):
-            prod = mul(Element.gen(theta, EMPTY_WORD, Word((), (j,))),
-                       Element.gen(theta, Word((i,), ()), EMPTY_WORD))
+            prod = mul(Element.gen(theta, EMPTY_WORD, Word((), (j,))), gens[i - 1])
             expected = mixing if i == j else Element.zero(theta)
             if not (prod - expected).is_zero():
                 return f"mixing relation at (i,j)=({i},{j})"
     if not en.ad_product_check(lam, 1) or not en.ad_product_check(lam, 2):
         return "cascade identity for the mixing pair"
-    return None
-
-
-def _refusal(build) -> str | None:
-    """The outcome of a case whose only decision is that `build()` makes its
-    pair: None, or the text of the package error that refused it (NotTwisted
-    carries its residual); any other exception is a bug and propagates."""
-    try:
-        build()
-    except TwoGraphError as exc:
-        return str(exc)
     return None
 
 

@@ -138,6 +138,14 @@ class TestBooleanCommands:
                             "--m", "2", "--n", "2")
         assert code == 1
 
+    def test_oracle_window_holds_the_image_strata_of_its_operands(self, capsys):
+        # evaluated on the stratum (1, 1), S[e1^7;id] reaches the image
+        # stratum (8, 1), of 512 words, which the window read off the
+        # operands must hold
+        seven = "S[" + ".".join(["e1"] * 7) + ";id]"
+        code, out = capture(capsys, "oracle", seven, seven)
+        assert code == 0 and out == "equal: true\n"
+
 
 class TestEndoCommand:
     def test_apply_to_a_word_longer_than_the_recursion_limit(self, capsys):
@@ -426,8 +434,9 @@ class TestUsageErrors:
         (),
         ("backend",),
         ("nf", "e1", "--seed", "3"),
+        ("oracle", "S[e1;e1]+S[e2;e2]", "I", "--level", "2,2"),
     ], ids=["unknown-suite", "non-float-tolerance", "malformed-level", "missing-command",
-            "removed-backend-command", "flag-the-command-does-not-read"])
+            "removed-backend-command", "flag-the-command-does-not-read", "removed-oracle-level"])
     def test_argparse_error_is_one_line(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
             run_cli(*argv)
@@ -451,7 +460,7 @@ class TestUsageErrors:
         sampling = ("--seed", "--samples", "--float-tol")
         for name, command in cli.COMMANDS.items():
             flags = command.flags.split()
-            assert ("--level" in flags) == (name in ("check", "oracle"))
+            assert ("--level" in flags) == (name == "check")
             assert all((flag in flags) == (name == "check") for flag in sampling)
 
 

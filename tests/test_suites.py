@@ -1,14 +1,17 @@
 """Every named verification suite passes for both reference tables."""
 
+import itertools
 import re
 
 import pytest
 
-from twograph import endo, modular, suites
-from twograph.algebra import GenTerm
+from twograph import algebra, endo, kernel, modular, sampling, semigroup, suites
+from twograph.algebra import Element, GenTerm
 from twograph.cli import main
 from twograph.endo import gallery
-from twograph.semigroup import word
+from twograph.errors import DegreeTooLarge, OutOfWindow
+from twograph.oracle import GradedActionModel
+from twograph.semigroup import EMPTY_WORD, Word, theta_text, word
 from twograph.suites import SUITE_NAMES, kms_suite, run_suite
 
 
@@ -137,3 +140,129 @@ def test_add_is_called_once_per_printed_case(monkeypatch, capsys):
     cases = [key.split(".", 2)[2] for key in lines if key.startswith("case.")]
     assert code == 0
     assert cases == calls and len(cases) == 37
+
+
+# --- a defect in the code under check is a FAIL, never an exit 2 -------------
+
+_MUL, _FACTOR, _CONCAT = algebra.mul, kernel.factor, kernel.concat
+
+
+def _adjoint_without_conjugation(self):
+    return Element._of(self.theta, {GenTerm(t.v, t.u): c for t, c in self._terms.items()})
+
+
+def _mul_dropping_a_term(a, b):
+    # drops the last term of any product of more than 3 terms
+    terms = dict(_MUL(a, b)._terms)
+    if len(terms) > 3:
+        terms.popitem()
+    return Element._of(a.theta, terms)
+
+
+def _factor_reversing_f1(tables, es, fs, p, q):
+    e1, f1, e2, f2 = _FACTOR(tables, es, fs, p, q)
+    return e1, f1[::-1], e2, f2
+
+
+def _concat_reading_the_forward_table(tables, e1, f1, e2, f2):
+    m, n, fwd, _ = tables
+    return _CONCAT((m, n, fwd, fwd), e1, f1, e2, f2)
+
+
+# (table, the defect's patches, the case it fails, that case's witness): each
+# defect makes the code under check raise a package error inside the case,
+# on a table where it shows (forward and inverse tables differ only on
+# mixed23, which is not an involution)
+DEFECTS = {
+    "adjoint": ("id23", [(Element, "adjoint", _adjoint_without_conjugation)],
+                "pair-endo-round-trip", "conjugation requires a unitary"),
+    "mul": ("flip22", [(module, "mul", _mul_dropping_a_term)
+                       for module in (algebra, endo, modular, suites)],
+            "pair-endo-round-trip", "conjugation requires a unitary"),
+    "factor": ("id23", [(kernel, "factor", _factor_reversing_f1)],
+               "pair-endo-round-trip", "images do not assemble into unitaries"),
+    "concat": ("mixed23", [(kernel, "concat", _concat_reading_the_forward_table)],
+               "pair-endo-round-trip", "images of e1 f1 and f3 e2 disagree"),
+}
+CHECK_TABLES = {
+    "flip22": ["--theta", "flip", "--m", "2", "--n", "2"],
+    "id23": ["--theta", "identity", "--m", "2", "--n", "3"],
+    "mixed23": ["--theta", "mixed23.txt"],
+}
+# cases that run only on canonical pairs that were built
+NEED_CANONICAL_PAIRS = {"case.endo.shift-composition", "case.endo.pair-product-associative"}
+
+
+def _check_all(table, capsys):
+    code = main(["check", "all", *CHECK_TABLES[table], "--samples", "4", "--level", "1,1"])
+    lines = capsys.readouterr().out.splitlines()
+    return code, {ln.split(": ")[0]: ln.split(": ", 1)[1] for ln in lines}
+
+
+@pytest.fixture
+def cold_extension_cache():
+    # the common-extension cache is keyed by equal tables across invocations:
+    # clear it so that a defect is not hidden by the correct run's entries,
+    # and so that the defect's entries do not outlive the test
+    semigroup._common_extensions_cached.cache_clear()
+    yield
+    semigroup._common_extensions_cached.cache_clear()
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_a_defect_that_raises_fails_its_case(defect, mixed23, tmp_path, monkeypatch, capsys,
+                                             cold_extension_cache):
+    table, patches, case_id, witness = DEFECTS[defect]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mixed23.txt").write_text(theta_text(mixed23))
+    code, correct = _check_all(table, capsys)
+    assert code == 0 and correct["result"] == "PASS"
+    for owner, name, planted in patches:
+        monkeypatch.setattr(owner, name, planted)
+    semigroup._common_extensions_cached.cache_clear()
+    code, broken = _check_all(table, capsys)
+    assert code == 1 and broken["result"] == "FAIL"
+    assert re.fullmatch(rf"FAIL \d+/\d+ exact; first witness: {witness}",
+                        broken[f"case.endo.{case_id}"])
+    # every case line of the correct run, in its order, but the cases that
+    # need a canonical pair the defect kept from being built
+    cases = [key for key in correct if key.startswith("case.")]
+    assert [key for key in broken if key.startswith("case.")] == [
+        key for key in cases if key in broken or key not in NEED_CANONICAL_PAIRS
+    ]
+
+
+@pytest.mark.parametrize("error", [OutOfWindow, DegreeTooLarge])
+def test_a_checker_limit_inside_a_case_ends_check_with_exit_2(error, monkeypatch, capsys):
+    # the oracle's window and the stratum cap bound the checker, not the code
+    # under check, so they are usage errors and never a case's FAIL
+    def refused(self, a, b, product):
+        raise error("beyond the checker")
+
+    monkeypatch.setattr(GradedActionModel, "product_agrees", refused)
+    code = main(["check", "algebra", "--samples", "4", "--level", "1,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "case.algebra.product-vs-oracle" not in captured.out
+    assert captured.err == "error: beyond the checker\n"
+
+
+@pytest.mark.parametrize("level", list(itertools.product(range(4), repeat=2)), ids=str)
+def test_the_oracle_cases_hold_their_widest_draws(theta, level, monkeypatch):
+    # product-vs-oracle reaches its widest image stratum with a = S[u1;id]
+    # and b = S[u2;id], d(u1) = d(u2) = level: evaluated on the stratum
+    # (1, 1), the product's action lands in 2*level + (1, 1).
+    # state-vs-oracle-trace reads the stratum (2, 2) of a level-2 core
+    # element. Each runs once on that draw; every other case draws nothing.
+    top = Word((1,) * level[0], (1,) * level[1])
+    square = Word((1, 1), (1, 1))
+    words = itertools.cycle([top, EMPTY_WORD])  # u1, v1, u2, v2
+    monkeypatch.setattr(sampling, "random_word", lambda rng, theta, level: next(words))
+    monkeypatch.setattr(sampling, "random_core_element",
+                        lambda rng, theta, level, terms: Element.gen(theta, square, square))
+    trials = suites._trials
+    monkeypatch.setattr(suites, "_trials", lambda count, trial: trials(
+        1 if trial.__name__ in ("product_vs_oracle", "trace_vs_oracle") else 0, trial))
+    report = suites.algebra_suite(theta, seed=0, level=level, samples=1)
+    details = {case.case_id: case.detail for case in report.cases}
+    assert details["product-vs-oracle"] == details["state-vs-oracle-trace"] == "1/1 exact"
