@@ -25,6 +25,7 @@ canonical difference.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import NotAPermutation, NotUnitModulus, ThetaMismatch
@@ -47,7 +48,12 @@ from .semigroup import (
 class GenTerm(NamedTuple):
     """The standard generator s_u s_v*: an immutable pair of words whose
     equality and hash are the tuple's, computed on demand (a hot dict key;
-    no hash is stored)."""
+    no hash is stored).
+
+    The hot paths of the package build terms with `_term((u, v))`, which
+    skips the Python-level `__new__` that `NamedTuple` generates; the
+    result is the same exact `GenTerm` instance that `GenTerm(u, v)` gives,
+    with the same equality, hash and `str`."""
 
     u: Word
     v: Word
@@ -67,6 +73,10 @@ class GenTerm(NamedTuple):
 
     def __repr__(self) -> str:
         return f"GenTerm({self})"
+
+
+# `GenTerm` built at C level from a (u, v) pair of words, taken as it stands
+_term = partial(tuple.__new__, GenTerm)
 
 
 class Element:
@@ -180,7 +190,7 @@ class Element:
         """Termwise s_u s_v* -> s_v s_u* with conjugated coefficients."""
         return Element._of(
             self.theta,
-            {GenTerm(t.v, t.u): c.conjugate() for t, c in self._terms.items()},
+            {_term((t.v, t.u)): c.conjugate() for t, c in self._terms.items()},
         )
 
     # --- canonical form ---------------------------------------------------------
@@ -205,9 +215,7 @@ class Element:
                     for w in enumerate_words(self.theta, gap):
                         _accumulate(
                             acc,
-                            GenTerm(
-                                concat(self.theta, t.u, w), concat(self.theta, t.v, w)
-                            ),
+                            _term((concat(self.theta, t.u, w), concat(self.theta, t.v, w))),
                             c,
                         )
         return Element._of(self.theta, acc)
@@ -314,7 +322,7 @@ def mul(a: Element, b: Element) -> Element:
             for w1, w2 in exts:
                 _accumulate(
                     acc,
-                    GenTerm(concat(theta, t1.u, w1), concat(theta, v2, w2)),
+                    _term((concat(theta, t1.u, w1), concat(theta, v2, w2))),
                     c,
                 )
     return Element._of(theta, acc).canonicalize()
@@ -323,7 +331,7 @@ def mul(a: Element, b: Element) -> Element:
 def raise_level(theta: Permutation2D, t: GenTerm, delta: Degree) -> Element:
     """Defect-free expansion: s_u s_v* = sum over d(w)=delta of s_{uw} s_{vw}*."""
     acc = {
-        GenTerm(concat(theta, t.u, w), concat(theta, t.v, w)): ExactScalar.one()
+        _term((concat(theta, t.u, w), concat(theta, t.v, w))): ExactScalar.one()
         for w in enumerate_words(theta, delta)
     }
     return Element(theta, acc)

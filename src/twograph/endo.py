@@ -35,6 +35,7 @@ from .algebra import (
     Element,
     GenTerm,
     _accumulate,
+    _term,
     in_subalgebra,
     is_unitary,
     mul,
@@ -73,7 +74,7 @@ def canonical_endomorphism_apply(theta: Permutation2D, p: int, q: int, x: Elemen
     acc: dict[GenTerm, ExactScalar] = {}
     for w in enumerate_words(theta, (p, q)):
         for t, c in x._terms.items():
-            acc[GenTerm(concat(theta, w, t.u), concat(theta, w, t.v))] = c
+            acc[_term((concat(theta, w, t.u), concat(theta, w, t.v)))] = c
     return Element(theta, acc).canonicalize()
 
 
@@ -260,6 +261,9 @@ def canonical_pair(theta: Permutation2D, p: int, q: int) -> UnitaryPair:
 
         U = sum_i sum_{d(w)=(p,q)} s_{w e_i} s_{e_i w}*,
         V = sum_j sum_{d(w)=(p,q)} s_{w f_j} s_{f_j w}*.
+
+    A pair that is not twisted is refused with `NotTwisted`, whose text
+    names the degree: `(p,q)=(1,0): pair is not twisted...` for (1, 0).
     """
     words = enumerate_words(theta, (p, q))
     one = ExactScalar.one()
@@ -272,7 +276,10 @@ def canonical_pair(theta: Permutation2D, p: int, q: int) -> UnitaryPair:
         for j in range(1, theta.n + 1):
             fj = Word((), (j,))
             v_terms[GenTerm(concat(theta, w, fj), concat(theta, fj, w))] = one
-    return UnitaryPair(Element(theta, u_terms), Element(theta, v_terms))
+    try:
+        return UnitaryPair(Element(theta, u_terms), Element(theta, v_terms))
+    except NotTwisted as exc:
+        raise NotTwisted(f"(p,q)=({p},{q}): {exc}") from None
 
 
 def canonical_endomorphism(theta: Permutation2D, p: int, q: int) -> Endomorphism:

@@ -26,7 +26,7 @@ import cmath
 import math
 from fractions import Fraction
 
-from .algebra import Element, GenTerm, mul
+from .algebra import Element, _term, mul
 from .errors import MalformedInput
 from .scalar import ExactScalar, power_of_base
 from .semigroup import Degree, Permutation2D
@@ -105,7 +105,7 @@ def _scale_terms(a: Element, z, swap: bool) -> Element:
     theta = a.theta
     if swap:
         terms = {
-            GenTerm(t.v, t.u): c.conjugate() * power_of_base(theta, t.degree, z)
+            _term((t.v, t.u)): c.conjugate() * power_of_base(theta, t.degree, z)
             for t, c in a._terms.items()
         }
     else:

@@ -19,7 +19,7 @@ prepared kernel tables.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from typing import Iterable, NamedTuple
 
@@ -60,6 +60,11 @@ class Word(NamedTuple):
     Immutable as a tuple of its two blocks. Equality and hash are the
     tuple's, computed on demand (no hash is stored); words are dictionary
     keys in every algebra operation.
+
+    The hot paths of the package build words with `_word((e, f))`, which
+    skips the Python-level `__new__` that `NamedTuple` generates; the
+    result is the same exact `Word` instance that `Word(e, f)` gives, with
+    the same equality, hash and `str`.
     """
 
     e_block: tuple[int, ...] = ()
@@ -91,6 +96,9 @@ class Word(NamedTuple):
     def __repr__(self) -> str:
         return f"Word({self})"
 
+
+# `Word` built at C level from an (e_block, f_block) pair, taken as it stands
+_word = partial(tuple.__new__, Word)
 
 EMPTY_WORD = Word((), ())
 
@@ -254,8 +262,7 @@ def normal_form(theta: Permutation2D, letters: Iterable) -> Word:
     Letters may be (kind, index) pairs or signed ints (+i for e_i, -j for
     f_j). The result does not depend on the rewrite order.
     """
-    e, f = kernel.normalize(theta._handle, _to_signed(theta, letters))
-    return Word(e, f)
+    return _word(kernel.normalize(theta._handle, _to_signed(theta, letters)))
 
 
 def word(theta: Permutation2D, text: str) -> Word:
@@ -273,13 +280,12 @@ def concat(theta: Permutation2D, w1: Word, w2: Word) -> Word:
     e1, f1 = w1
     e2, f2 = w2
     if e2 and f1:
-        e, f = kernel.concat(theta._handle, e1, f1, e2, f2)
-        return Word(e, f)
+        return _word(kernel.concat(theta._handle, e1, f1, e2, f2))
     if not (e2 or f2):
         return w1
     if not (e1 or f1):
         return w2
-    return Word(e1 + e2, f1 + f2)
+    return _word((e1 + e2, f1 + f2))
 
 
 def factor_at(theta: Permutation2D, w: Word, delta: Degree) -> tuple[Word, Word]:
@@ -289,7 +295,7 @@ def factor_at(theta: Permutation2D, w: Word, delta: Degree) -> tuple[Word, Word]
     if not (0 <= p <= len(e) and 0 <= q <= len(f)):
         raise DegreeTooLarge(f"cannot take degree {delta} from word of degree {w.degree}")
     e1, f1, e2, f2 = kernel.factor(theta._handle, e, f, p, q)
-    return Word(e1, f1), Word(e2, f2)
+    return _word((e1, f1)), _word((e2, f2))
 
 
 def prefix_at(theta: Permutation2D, w: Word, meet: Degree) -> Word:
@@ -301,7 +307,7 @@ def prefix_at(theta: Permutation2D, w: Word, meet: Degree) -> Word:
     if p == len(e) and q == len(f):
         return w
     if not q:
-        return Word(e[:p], ())
+        return _word((e[:p], ()))
     memo = theta._prefixes
     key = (w, meet)
     prefix = memo.get(key)
@@ -335,9 +341,8 @@ def _words(theta: Permutation2D, delta: Degree) -> tuple[Word, ...]:
                              f"{theta.n}^{b} words, capped at {MAX_WORDS} for cost control")
     stratum = theta._strata.get((a, b))
     if stratum is None:
-        f_blocks = list(product(range(1, theta.n + 1), repeat=b))
-        stratum = tuple(Word(e, f) for e in product(range(1, theta.m + 1), repeat=a)
-                        for f in f_blocks)
+        e_blocks = product(range(1, theta.m + 1), repeat=a)
+        stratum = tuple(map(_word, product(e_blocks, product(range(1, theta.n + 1), repeat=b))))
         if theta._strata_words + len(stratum) <= _CACHE_ENTRIES:
             theta._strata[(a, b)] = stratum
             theta._strata_words += len(stratum)
@@ -370,7 +375,7 @@ def _common_extensions_cached(theta: Permutation2D, u: Word, v: Word):
     raw = kernel.common_ext(
         theta._handle, u.e_block, u.f_block, v.e_block, v.f_block
     )
-    return tuple((Word(w1e, w1f), Word(w2e, w2f)) for w1e, w1f, w2e, w2f in raw)
+    return tuple((_word((w1e, w1f)), _word((w2e, w2f))) for w1e, w1f, w2e, w2f in raw)
 
 
 def common_extensions(theta: Permutation2D, u: Word, v: Word) -> list[tuple[Word, Word]]:

@@ -20,6 +20,7 @@ filter over a full word stratum.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -197,17 +198,24 @@ def semigroup_suite(
             return f"w={w} delta=({a},{b}) -> ({w1},{w2})"
     report.run("factor-round-trip", (round_trip(*split) for split in splits))
 
-    def unique_split(w, a, b):
-        rests = enumerate_words(theta, deg_sub(w.degree, (a, b)))
-        hits = sum(
-            1
-            for w1 in enumerate_words(theta, (a, b))
-            for w2 in rests
-            if concat(theta, w1, w2) == w
-        )
-        if hits != 1:
-            return f"w={w} delta=({a},{b}) has {hits} splits"
-    report.run("factor-uniqueness", (unique_split(*split) for split in splits))
+    def unique_splits():
+        # each split degree (a, b) of d joins the |S(d)| block pairs of
+        # S(a, b) x S(d - (a, b)) once, when the first word of degree d asks
+        # for it; then each word of d reads its count. Only the counts of one
+        # degree are kept.
+        degree, counts = None, {}
+        for w, a, b in splits:
+            if w.degree != degree:
+                degree, counts = w.degree, {}
+            count = counts.get((a, b))
+            if count is None:
+                rests = enumerate_words(theta, deg_sub(degree, (a, b)))
+                count = counts[(a, b)] = Counter(
+                    concat(theta, w1, w2) for w1 in enumerate_words(theta, (a, b)) for w2 in rests
+                )
+            hits = count[w]
+            yield None if hits == 1 else f"w={w} delta=({a},{b}) has {hits} splits"
+    report.run("factor-uniqueness", unique_splits())
 
     by_degree: dict[Degree, list[Word]] = {}
     for w in words:
@@ -397,8 +405,9 @@ def modular_suite(
     def multiplicative():
         a = smp.random_element(rng, theta, level, terms=2)
         b = smp.random_element(rng, theta, level, terms=2)
+        ab = mul(a, b)
         ok = all(
-            (md.modular_power(z, mul(a, b))
+            (md.modular_power(z, ab)
              - mul(md.modular_power(z, a), md.modular_power(z, b))).is_zero()
             for z in exponents
         )
@@ -472,8 +481,8 @@ def endo_suite(
     gens += [Element.gen(theta, Word((), (j,)), EMPTY_WORD) for j in range(1, theta.n + 1)]
 
     # `UnitaryPair` decides twistedness: a pair that is not twisted fails
-    # this case with its residual, and the later cases run on the pairs
-    # that were built
+    # this case with its degree and residual, and the later cases run on
+    # the pairs that were built
     pairs = {}
 
     def build(p, q):

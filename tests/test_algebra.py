@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twograph import algebra, semigroup
+from twograph import algebra, endo, modular, semigroup
 from twograph.algebra import (
     Element,
     GenTerm,
@@ -20,7 +20,7 @@ from twograph.algebra import (
     raise_level,
 )
 from twograph.errors import NotAPermutation, NotUnitModulus, ThetaMismatch
-from twograph.sampling import random_element, rng_from_seed
+from twograph.sampling import random_element, random_letters, random_word, rng_from_seed
 from twograph.scalar import ExactScalar
 from twograph.semigroup import (
     EMPTY_WORD,
@@ -28,7 +28,11 @@ from twograph.semigroup import (
     common_extensions,
     concat,
     deg_sub,
+    enumerate_words,
+    factor_at,
     make_theta,
+    normal_form,
+    prefix_at,
     word,
 )
 
@@ -483,3 +487,33 @@ def test_element_str_sorted_and_parseable(theta):
     for _ in range(25):
         a = random_element(rng, theta, (2, 2)).canonicalize()
         assert parse_expression(str(a), theta) == a
+
+
+@pytest.mark.parametrize("name", ["flip22", "mixed23"])
+def test_hot_paths_build_exact_words_and_terms(name, request):
+    # the package builds words and terms without NamedTuple's `__new__`;
+    # each must still be an exact `Word` / `GenTerm`, equal to and printed
+    # as the one the public constructor gives
+    theta = request.getfixturevalue(name)
+    rng = rng_from_seed(5)
+    words = list(enumerate_words(theta, (1, 2)))
+    elements = []
+    for _ in range(20):
+        u, v = random_word(rng, theta, (2, 2)), random_word(rng, theta, (2, 2))
+        w = concat(theta, u, v)
+        words += [w, concat(theta, Word(u.e_block, ()), Word((), v.f_block)),
+                  *factor_at(theta, w, u.degree), prefix_at(theta, w, u.degree),
+                  prefix_at(theta, w, (u.degree[0], 0)),
+                  normal_form(theta, random_letters(rng, theta, 6))]
+        words += [x for pair in common_extensions(theta, u, v) for x in pair]
+        a, b = random_element(rng, theta, (2, 2)), random_element(rng, theta, (2, 2))
+        lifted = Element.gen(theta, concat(theta, u, w), concat(theta, v, w))
+        elements += [mul(a, b), a.adjoint(), (Element.gen(theta, u, v) + lifted).canonicalize(),
+                     modular.modular_power(Fraction(1, 2), a), modular.modular_conjugation(b),
+                     endo.shift_e(a), raise_level(theta, GenTerm(u, v), (1, 1))]
+    terms = [t for x in elements for t in x.terms()]
+    assert terms and all(type(t) is GenTerm for t in terms)
+    assert all(str(t) == str(GenTerm(*t)) and t == GenTerm(*t) for t in terms)
+    words += [part for t in terms for part in t]
+    assert all(type(w) is Word for w in words)
+    assert all(str(w) == str(Word(*w)) and w == Word(*w) for w in words)

@@ -266,3 +266,53 @@ def test_the_oracle_cases_hold_their_widest_draws(theta, level, monkeypatch):
     report = suites.algebra_suite(theta, seed=0, level=level, samples=1)
     details = {case.case_id: case.detail for case in report.cases}
     assert details["product-vs-oracle"] == details["state-vs-oracle-trace"] == "1/1 exact"
+
+
+def test_a_pair_that_is_not_twisted_is_named_by_its_degree(id23, capsys, cold_extension_cache,
+                                                           monkeypatch):
+    # with `kernel.factor` reversing f1 the pair (1,0) is still twisted and
+    # (0,1) is the first that is not; the witness must say which
+    monkeypatch.setattr(kernel, "factor", _factor_reversing_f1)
+    code, broken = _check_all("id23", capsys)
+    assert code == 1
+    assert broken["case.endo.canonical-pairs-twisted"] == (
+        "FAIL 1/2 exact; first witness: (p,q)=(0,1): pair is not twisted")
+
+
+def _per_split_uniqueness(theta, level):
+    """The `factor-uniqueness` line when each split is decided alone, joining
+    every block pair of its split degree again for each word: the reference."""
+    concat = suites.concat
+
+    def unique_split(w, a, b):
+        rests = semigroup.enumerate_words(theta, semigroup.deg_sub(w.degree, (a, b)))
+        hits = sum(1 for w1 in semigroup.enumerate_words(theta, (a, b)) for w2 in rests
+                   if concat(theta, w1, w2) == w)
+        if hits != 1:
+            return f"w={w} delta=({a},{b}) has {hits} splits"
+    report = suites.SuiteReport("reference")
+    report.run("factor-uniqueness", (
+        unique_split(w, a, b) for w in semigroup.words_up_to(theta, level)
+        for a in range(w.degree[0] + 1) for b in range(w.degree[1] + 1)
+    ))
+    return report.cases[0].detail
+
+
+@pytest.mark.parametrize("level", [(1, 1), (2, 1), (2, 2)], ids=str)
+def test_factor_uniqueness_counts_a_collision_as_the_per_split_loop(theta, level, monkeypatch):
+    # a join that takes e2 for e1 as the left factor makes two block pairs
+    # of split degree (1, 0) meet on each word that starts with e1 and none
+    # on each that starts with e2; the counting pass must give the line the
+    # per-split loop gives
+    concat = semigroup.concat
+    e1, e2 = Word((1,), ()), Word((2,), ())
+
+    def colliding(theta, w1, w2):
+        return concat(theta, e1 if w1 == e2 else w1, w2)
+
+    monkeypatch.setattr(suites, "concat", colliding)
+    report = suites.semigroup_suite(theta, seed=0, level=level, samples=1)
+    (case,) = [c for c in report.cases if c.case_id == "factor-uniqueness"]
+    assert not case.passed
+    assert case.detail == _per_split_uniqueness(theta, level)
+    assert case.detail.endswith("first witness: w=e1 delta=(1,0) has 2 splits")
