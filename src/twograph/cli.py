@@ -247,12 +247,7 @@ def _gram(args, theta):
 
 
 def _oracle(args, theta):
-    a, b = _operands(args, theta)
-    terms = [*a.terms(), *b.terms()]
-    # the window holds the evaluation stratum `top` and each image stratum d(z) - d(v) + d(u)
-    top = [1 + max((t.v.degree[k] for t in terms), default=0) for k in (0, 1)]
-    window = max(*top, *(top[k] - t.v.degree[k] + t.u.degree[k] for t in terms for k in (0, 1)))
-    equal = GradedActionModel(theta, window=window).oracle_equal(a, b)
+    equal = GradedActionModel(theta).oracle_equal(*_operands(args, theta))
     return [("equal", "true" if equal else "false")], 0 if equal else 1
 
 

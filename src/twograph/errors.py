@@ -53,14 +53,10 @@ class WrongTheta(TwoGraphError):
     """A built-in example pair is incompatible with the ambient table."""
 
 
-class OutOfWindow(TwoGraphError):
-    """A truncated-model evaluation would leave the configured window."""
-
-
 class MalformedInput(TwoGraphError, ValueError):
     """Malformed word or pair-spec text, or an argument out of its range
-    (a negative window, a level below 1); also a ValueError for callers
-    that catch one."""
+    (a negative spectrum window, a level below 1); also a ValueError for
+    callers that catch one."""
 
 
 class FactoringTooCostly(TwoGraphError):

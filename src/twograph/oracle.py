@@ -1,7 +1,6 @@
-"""Brute-force cross-check model: generators acting on a window of words.
+"""Brute-force cross-check model: generators acting on words.
 
-Standard generators act on the graded set of words z with d(z) inside a
-window (W, W):
+Standard generators act on the graded set of all words z:
 
     s_u s_v* : z  ->  u z'   if z = v z' (unique factorization),
                       nothing otherwise.
@@ -21,59 +20,44 @@ enough stratum decides equality of the elements (`oracle_equal`) and
 checks a symbolic product against the composed action of its factors
 (`product_agrees`) — by a code path that never touches the symbolic
 product or canonical form. Only the word-level operations (factor,
-concatenate) are shared with the symbolic side.
+concatenate) are shared with the symbolic side. The rows are built only
+for the words the operands reach, so the one limit is `MAX_WORDS` on a
+stratum of tails that a term walks.
 """
 
 from __future__ import annotations
 
 from .algebra import Element, GenTerm
-from .errors import OutOfWindow
 from .scalar import ExactScalar, power_of_base
 from .semigroup import (
     Degree,
     Permutation2D,
     Word,
+    _words,
     concat,
     deg_add,
     deg_join,
     deg_le,
     deg_sub,
-    enumerate_words,
     factor_at,
 )
 
 
 class GradedActionModel:
-    """Finite graded action of the dense algebra, used as an oracle."""
+    """Graded action of the dense algebra on words, used as an oracle."""
 
-    def __init__(self, theta: Permutation2D, window: int = 4):
-        if window < 0:
-            raise ValueError("window must be nonnegative")
+    def __init__(self, theta: Permutation2D):
         self.theta = theta
-        self.window = window
-        self._strata: dict[Degree, list[Word]] = {}
 
-    def stratum(self, degree: Degree) -> list[Word]:
-        if not deg_le(degree, (self.window, self.window)):
-            raise OutOfWindow(f"stratum {degree} exceeds window {self.window}")
-        if degree not in self._strata:
-            self._strata[degree] = enumerate_words(self.theta, degree)
-        return self._strata[degree]
+    def stratum(self, degree: Degree) -> tuple[Word, ...]:
+        """The words of `degree`, from the table's strata memo."""
+        return _words(self.theta, degree)
 
     def act_term(self, t: GenTerm, z: Word) -> Word | None:
-        """Image of the basis word z under s_u s_v*, or None if annihilated.
-
-        Raises OutOfWindow when the image would land outside the window
-        (the caller must pick strata with headroom).
-        """
+        """Image of the basis word z under s_u s_v*, or None if annihilated."""
         dv = t.v.degree
         if not deg_le(dv, z.degree):
             return None
-        out_degree = deg_add(deg_sub(z.degree, dv), t.u.degree)
-        if not deg_le(out_degree, (self.window, self.window)):
-            raise OutOfWindow(
-                f"image stratum {out_degree} exceeds window {self.window}"
-            )
         head, tail = factor_at(self.theta, z, dv)
         if head != t.v:
             return None
@@ -92,22 +76,14 @@ class GradedActionModel:
         """The nonzero rows {z: act(a, z)} over the words z of `degree`.
 
         Each term s_u s_v* with d(v) <= degree walks the tails z' of degree
-        degree - d(v) and adds its coefficient at u z' in row v z'. Raises
-        OutOfWindow exactly when `act` would on a word of `degree`.
+        degree - d(v) and adds its coefficient at u z' in row v z'.
         """
         rows: dict[Word, dict[Word, ExactScalar]] = {}
         for t, c in a._terms.items():
             u, v = t
-            dv = v.degree
-            if not deg_le(dv, degree):
+            if not deg_le(v.degree, degree):
                 continue
-            tail_degree = deg_sub(degree, dv)
-            out_degree = deg_add(tail_degree, u.degree)
-            if not deg_le(out_degree, (self.window, self.window)):
-                raise OutOfWindow(
-                    f"image stratum {out_degree} exceeds window {self.window}"
-                )
-            for tail in self.stratum(tail_degree):
+            for tail in self.stratum(deg_sub(degree, v.degree)):
                 z = concat(self.theta, v, tail)
                 row = rows.get(z)
                 if row is None:
@@ -128,24 +104,23 @@ class GradedActionModel:
         """Equality of elements via their matrix actions on one stratum."""
         a._require_same_theta(b)
         degree = self._evaluation_stratum(a, b)
-        self.stratum(degree)  # refuses a stratum beyond the window
         return self.action(a, degree) == self.action(b, degree)
 
     def product_agrees(self, a: Element, b: Element, product: Element) -> bool:
         """Whether `product` acts as the composed action (b, then a) on the
         evaluation stratum of all three elements.
 
-        The rows of a are built once per degree that b's images reach, on
-        the first image there.
+        Only the rows that b or the product has are compared: on any other
+        word both actions are zero. The rows of a are built once per degree
+        that b's images reach, on the first image there.
         """
         a._require_same_theta(b)
         a._require_same_theta(product)
         degree = self._evaluation_stratum(a, b, product)
-        stratum = self.stratum(degree)
         b_rows = self.action(b, degree)
         product_rows = self.action(product, degree)
         a_rows: dict[Degree, dict[Word, dict[Word, ExactScalar]]] = {}
-        for z in stratum:
+        for z in b_rows.keys() | product_rows.keys():
             composed: dict[Word, ExactScalar] = {}
             for mid, c_mid in b_rows.get(z, {}).items():
                 rows = a_rows.get(mid.degree)
@@ -169,13 +144,10 @@ class GradedActionModel:
                 raise ValueError("trace oracle needs a core element, term "
                                  f"{t} has degree {t.degree}")
             level = max(level, t.v.degree[0], t.v.degree[1])
-        stratum = self.stratum((level, level))
-        rows = self.action(x, (level, level))
         total = ExactScalar.zero()
-        for z in stratum:
-            diag = rows.get(z, {}).get(z)
-            if diag is not None:
-                total = total + diag
+        for z, row in self.action(x, (level, level)).items():
+            if z in row:
+                total = total + row[z]
         return total * power_of_base(self.theta, (level, level), -1)
 
 

@@ -333,9 +333,12 @@ def clipped_count(theta: Permutation2D, delta: Degree, cap: int) -> int:
 
 def _words(theta: Permutation2D, delta: Degree) -> tuple[Word, ...]:
     """The stratum of degree delta from the table's memo, or built and stored
-    there while the memo stays within `_CACHE_ENTRIES` words. Refuses more
-    than MAX_WORDS words before any is looked up or built."""
+    there while the memo stays within `_CACHE_ENTRIES` words. Refuses a
+    negative degree, and more than MAX_WORDS words before any is looked up
+    or built."""
     a, b = delta
+    if a < 0 or b < 0:
+        raise DegreeTooLarge(f"degree must be nonnegative, got {delta}")
     if clipped_count(theta, delta, MAX_WORDS) > MAX_WORDS:
         raise DegreeTooLarge(f"degree {delta} on {theta.m}x{theta.n} has {theta.m}^{a}*"
                              f"{theta.n}^{b} words, capped at {MAX_WORDS} for cost control")
@@ -356,8 +359,6 @@ def enumerate_words(theta: Permutation2D, delta: Degree) -> list[Word]:
     Every pair of blocks is a distinct canonical word, so no rewriting is
     needed here.
     """
-    if delta[0] < 0 or delta[1] < 0:
-        raise DegreeTooLarge(f"degree must be nonnegative, got {delta}")
     return list(_words(theta, delta))
 
 

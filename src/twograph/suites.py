@@ -38,7 +38,7 @@ from .algebra import (
     raise_level,
     support_degrees,
 )
-from .errors import DegreeTooLarge, OutOfWindow, TwoGraphError
+from .errors import DegreeTooLarge, TwoGraphError
 from .oracle import GradedActionModel
 from .scalar import ExactScalar, power_of_base
 from .semigroup import (
@@ -88,14 +88,14 @@ class SuiteReport:
 
         A `TwoGraphError` raised while a decision is drawn is that
         decision's failure, with the error's text as its witness, and ends
-        the case. `OutOfWindow` and `DegreeTooLarge` propagate: the checker
-        is too small (an oracle window, a stratum over `MAX_WORDS`), not the
-        code under check wrong. Any other exception is a bug and propagates."""
+        the case. `DegreeTooLarge` propagates: a stratum over `MAX_WORDS` is
+        the checker's own limit, not the code under check wrong. Any other
+        exception is a bug and propagates."""
         drawn = []
         try:
             for outcome in outcomes:
                 drawn.append(outcome)
-        except (OutOfWindow, DegreeTooLarge):
+        except DegreeTooLarge:
             raise
         except TwoGraphError as exc:
             drawn.append(str(exc))
@@ -321,9 +321,7 @@ def algebra_suite(
             return f"A={a} X={x} B={b}"
     report.run("core-expectation-bimodule", _trials(samples, bimodule))
 
-    # a product term reaches image stratum 2*level + (1, 1); the trace case
-    # reads the stratum (2, 2) of a level-2 core element
-    model = GradedActionModel(theta, window=max(2, 2 * max(level) + 1))
+    model = GradedActionModel(theta)
 
     def product_vs_oracle():
         t1 = GenTerm(smp.random_word(rng, theta, level), smp.random_word(rng, theta, level))

@@ -38,6 +38,27 @@ def mixed23():
     })
 
 
+@pytest.fixture(scope="session")
+def identity33():
+    return Permutation2D.identity(3, 3)
+
+
+@pytest.fixture(scope="session")
+def flip33():
+    return Permutation2D.flip(3, 3)
+
+
+@pytest.fixture(scope="session")
+def mixed33():
+    """A 3x3 table that neither fixes nor flips every pair. Same table as
+    perfbench/tables/mixed33.txt."""
+    return Permutation2D(3, 3, {
+        (1, 1): (1, 1), (1, 2): (2, 1), (1, 3): (3, 1),
+        (2, 1): (1, 2), (2, 2): (2, 2), (2, 3): (1, 3),
+        (3, 1): (3, 2), (3, 2): (2, 3), (3, 3): (3, 3),
+    })
+
+
 @pytest.fixture(params=["flip22", "id23"], scope="session")
 def theta(request):
     """The two reference tables used throughout the acceptance criteria;

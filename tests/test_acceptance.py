@@ -164,7 +164,7 @@ def test_c02_algebra_suite(theta):
 @EVERY_TABLE
 def test_c03_product_and_state_against_oracle(theta):
     """Symbolic product and state agree with the graded-action model."""
-    model = GradedActionModel(theta, window=6)
+    model = GradedActionModel(theta)
     rng = rng_from_seed(SEED + 2)
     for _ in range(SAMPLES):
         t1 = GenTerm(random_word(rng, theta, LEVEL), random_word(rng, theta, LEVEL))

@@ -138,12 +138,18 @@ class TestBooleanCommands:
                             "--m", "2", "--n", "2")
         assert code == 1
 
-    def test_oracle_window_holds_the_image_strata_of_its_operands(self, capsys):
-        # evaluated on the stratum (1, 1), S[e1^7;id] reaches the image
-        # stratum (8, 1), of 512 words, which the window read off the
-        # operands must hold
+    def test_oracle_follows_its_operands_past_the_evaluation_stratum(self, capsys):
+        # evaluated on the stratum (1, 1), S[e1^7;id] sends each word to the
+        # image stratum (8, 1), of 512 words, far above the stratum itself
         seven = "S[" + ".".join(["e1"] * 7) + ";id]"
         code, out = capture(capsys, "oracle", seven, seven)
+        assert code == 0 and out == "equal: true\n"
+
+    def test_oracle_walks_only_the_rows_its_operands_reach(self, capsys):
+        # S[id;v] acts only on the words v.z', so on 40x40 the 40^6 words of
+        # the evaluation stratum (3, 3) are never built, only the 40^2 tails z'
+        op = "S[id;e1.e1.f1.f1]"
+        code, out = capture(capsys, "oracle", op, op, "--m", "40", "--n", "40")
         assert code == 0 and out == "equal: true\n"
 
 
@@ -446,10 +452,11 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [
         ("check", "all", "--m", "256", "--n", "256", "--samples", "1"),
-        ("oracle", "S[id;e1.e1.f1.f1]", "S[id;e1.e1.f1.f1]", "--m", "40", "--n", "40"),
+        ("oracle", "I", "S[id;e1.e1.f1.f1]", "--m", "40", "--n", "40"),
     ], ids=["check-all-256x256", "oracle-40x40"])
     def test_oversized_enumeration_is_refused_up_front(self, capsys, argv):
-        # each would build more than MAX_WORDS words of one degree
+        # each would build more than MAX_WORDS words of one degree; `I` acts
+        # on every word of the oracle's evaluation stratum (3, 3)
         assert run_cli(*argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from twograph.algebra import Element, GenTerm, mul
-from twograph.errors import OutOfWindow
+from twograph.errors import DegreeTooLarge
 from twograph.modular import omega
 from twograph.oracle import GradedActionModel
 from twograph.sampling import (
@@ -22,30 +22,32 @@ def gen(theta, u, v):
     return Element.gen(theta, word(theta, u), word(theta, v))
 
 
+class TestStratum:
+    def test_the_table_strata_and_their_refusals(self, theta):
+        model = GradedActionModel(theta)
+        assert list(model.stratum((1, 2))) == enumerate_words(theta, (1, 2))
+        with pytest.raises(DegreeTooLarge):
+            model.stratum((-1, 0))
+
+
 class TestActTerm:
     def test_concatenation(self, theta):
-        model = GradedActionModel(theta, window=3)
+        model = GradedActionModel(theta)
         t = GenTerm(word(theta, "e1"), EMPTY_WORD)
         assert str(model.act_term(t, word(theta, "f1"))) == "e1.f1"
 
     def test_prefix_mismatch_annihilates(self, theta):
-        model = GradedActionModel(theta, window=3)
+        model = GradedActionModel(theta)
         t = GenTerm(EMPTY_WORD, word(theta, "e1"))
         assert model.act_term(t, word(theta, "e2.f1")) is None
 
     def test_low_stratum_annihilates(self, theta):
-        model = GradedActionModel(theta, window=3)
+        model = GradedActionModel(theta)
         t = GenTerm(EMPTY_WORD, word(theta, "e1"))
         assert model.act_term(t, word(theta, "f1")) is None
 
-    def test_window_overflow_raises(self, theta):
-        model = GradedActionModel(theta, window=1)
-        t = GenTerm(word(theta, "e1.e2"), EMPTY_WORD)
-        with pytest.raises(OutOfWindow):
-            model.act_term(t, word(theta, "e1"))
-
     def test_defect_free_sums_act_as_identity(self, theta):
-        model = GradedActionModel(theta, window=3)
+        model = GradedActionModel(theta)
         for z in enumerate_words(theta, (1, 1)):
             acc = {}
             for i in range(1, theta.m + 1):
@@ -58,7 +60,7 @@ class TestActTerm:
 
 class TestAction:
     def test_rows_of_a_generator(self, theta):
-        model = GradedActionModel(theta, window=3)
+        model = GradedActionModel(theta)
         a = gen(theta, "f1", "e1")
         rows = model.action(a, (1, 1))
         assert len(rows) == theta.n
@@ -67,7 +69,7 @@ class TestAction:
 
     def test_cancelled_rows_are_dropped(self, theta):
         # 1 - sum_i s_{e_i} s_{e_i}* acts as zero on every word with an e-letter
-        model = GradedActionModel(theta, window=3)
+        model = GradedActionModel(theta)
         x = Element.unit(theta)
         for i in range(1, theta.m + 1):
             x = x - gen(theta, f"e{i}", f"e{i}")
@@ -75,28 +77,22 @@ class TestAction:
         assert model.action(x, (0, 1)) == {z: {z: ExactScalar.one()}
                                            for z in enumerate_words(theta, (0, 1))}
 
-    def test_window_overflow_raises(self, theta):
-        model = GradedActionModel(theta, window=1)
-        with pytest.raises(OutOfWindow):
-            model.action(gen(theta, "e1.e2", "id"), (1, 0))
-        assert model.action(gen(theta, "e1.e2", "e1.f1"), (1, 0)) == {}
-
 
 class TestOracleEqual:
     def test_defect_free_identity(self, theta):
-        model = GradedActionModel(theta, window=3)
+        model = GradedActionModel(theta)
         combo = gen(theta, "e1", "e1")
         for i in range(2, theta.m + 1):
             combo = combo + gen(theta, f"e{i}", f"e{i}")
         assert model.oracle_equal(combo, Element.unit(theta))
 
     def test_distinguishes(self, theta):
-        model = GradedActionModel(theta, window=3)
+        model = GradedActionModel(theta)
         assert not model.oracle_equal(gen(theta, "e1", "id"), gen(theta, "e2", "id"))
 
     def test_random_products_match_symbolic(self, theta):
         """The product expansion is exactly the composed action."""
-        model = GradedActionModel(theta, window=6)
+        model = GradedActionModel(theta)
         rng = rng_from_seed(31)
         for _ in range(100):
             t1 = GenTerm(random_word(rng, theta, (2, 2)), random_word(rng, theta, (2, 2)))
@@ -118,13 +114,13 @@ class TestOracleEqual:
             assert model.product_agrees(a, b, product)
 
     def test_product_agrees_rejects_the_wrong_order(self, theta):
-        model = GradedActionModel(theta, window=4)
+        model = GradedActionModel(theta)
         a, b = gen(theta, "e1", "id"), gen(theta, "id", "e1")
         assert model.product_agrees(a, b, mul(a, b))
         assert not model.product_agrees(a, b, mul(b, a))
 
     def test_oracle_equal_of_product_terms(self, theta):
-        model = GradedActionModel(theta, window=6)
+        model = GradedActionModel(theta)
         rng = rng_from_seed(32)
         for _ in range(30):
             a = random_element(rng, theta, (1, 1), terms=2)
@@ -134,22 +130,22 @@ class TestOracleEqual:
 
 class TestOracleTrace:
     def test_unit(self, theta):
-        model = GradedActionModel(theta, window=3)
+        model = GradedActionModel(theta)
         assert model.oracle_trace(Element.unit(theta)) == ExactScalar.one()
 
     def test_rank_one_projection(self, theta):
-        model = GradedActionModel(theta, window=3)
+        model = GradedActionModel(theta)
         got = model.oracle_trace(gen(theta, "e1.f1", "e1.f1"))
         assert got == ExactScalar.rational(Fraction(1, theta.m * theta.n))
 
     def test_agrees_with_state(self, theta):
-        model = GradedActionModel(theta, window=3)
+        model = GradedActionModel(theta)
         rng = rng_from_seed(33)
         for _ in range(100):
             x = random_core_element(rng, theta, 2, terms=3)
             assert model.oracle_trace(x) == omega(x)
 
     def test_rejects_non_core(self, theta):
-        model = GradedActionModel(theta, window=3)
+        model = GradedActionModel(theta)
         with pytest.raises(ValueError):
             model.oracle_trace(gen(theta, "e1", "id"))

@@ -40,3 +40,20 @@ def test_import_and_check_all_load_no_numpy():
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_error_type_is_raised_somewhere():
+    # an error type that no `raise` in the package names is dead code
+    types = set()
+    for node in ast.parse((PACKAGE_DIR / "errors.py").read_text()).body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id in types | {"TwoGraphError"}
+                for base in node.bases):
+            types.add(node.name)
+    raised = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    assert types and not types - raised, sorted(types - raised)

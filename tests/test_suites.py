@@ -9,7 +9,7 @@ from twograph import algebra, endo, kernel, modular, sampling, semigroup, suites
 from twograph.algebra import Element, GenTerm
 from twograph.cli import main
 from twograph.endo import gallery
-from twograph.errors import DegreeTooLarge, OutOfWindow
+from twograph.errors import DegreeTooLarge
 from twograph.oracle import GradedActionModel
 from twograph.semigroup import EMPTY_WORD, Word, theta_text, word
 from twograph.suites import SUITE_NAMES, kms_suite, run_suite
@@ -232,10 +232,10 @@ def test_a_defect_that_raises_fails_its_case(defect, mixed23, tmp_path, monkeypa
     ]
 
 
-@pytest.mark.parametrize("error", [OutOfWindow, DegreeTooLarge])
+@pytest.mark.parametrize("error", [DegreeTooLarge])
 def test_a_checker_limit_inside_a_case_ends_check_with_exit_2(error, monkeypatch, capsys):
-    # the oracle's window and the stratum cap bound the checker, not the code
-    # under check, so they are usage errors and never a case's FAIL
+    # the stratum cap bounds the checker, not the code under check, so it is
+    # a usage error and never a case's FAIL
     def refused(self, a, b, product):
         raise error("beyond the checker")
 
@@ -247,16 +247,13 @@ def test_a_checker_limit_inside_a_case_ends_check_with_exit_2(error, monkeypatch
     assert captured.err == "error: beyond the checker\n"
 
 
-@pytest.mark.parametrize("level", list(itertools.product(range(4), repeat=2)), ids=str)
-def test_the_oracle_cases_hold_their_widest_draws(theta, level, monkeypatch):
-    # product-vs-oracle reaches its widest image stratum with a = S[u1;id]
-    # and b = S[u2;id], d(u1) = d(u2) = level: evaluated on the stratum
-    # (1, 1), the product's action lands in 2*level + (1, 1).
-    # state-vs-oracle-trace reads the stratum (2, 2) of a level-2 core
-    # element. Each runs once on that draw; every other case draws nothing.
-    top = Word((1,) * level[0], (1,) * level[1])
+def _oracle_case_details(theta, level, draws, monkeypatch):
+    """The details of product-vs-oracle, with `random_word` drawing u1, v1,
+    u2, v2 from `draws`, and of state-vs-oracle-trace, on a rank-one
+    projection of the stratum (2, 2). Each runs once on its draw; every
+    other case of the algebra suite draws nothing."""
     square = Word((1, 1), (1, 1))
-    words = itertools.cycle([top, EMPTY_WORD])  # u1, v1, u2, v2
+    words = iter(draws)
     monkeypatch.setattr(sampling, "random_word", lambda rng, theta, level: next(words))
     monkeypatch.setattr(sampling, "random_core_element",
                         lambda rng, theta, level, terms: Element.gen(theta, square, square))
@@ -265,7 +262,29 @@ def test_the_oracle_cases_hold_their_widest_draws(theta, level, monkeypatch):
         1 if trial.__name__ in ("product_vs_oracle", "trace_vs_oracle") else 0, trial))
     report = suites.algebra_suite(theta, seed=0, level=level, samples=1)
     details = {case.case_id: case.detail for case in report.cases}
-    assert details["product-vs-oracle"] == details["state-vs-oracle-trace"] == "1/1 exact"
+    return details["product-vs-oracle"], details["state-vs-oracle-trace"]
+
+
+@pytest.mark.parametrize("level", list(itertools.product(range(4), repeat=2)), ids=str)
+def test_the_oracle_cases_hold_their_widest_draws(theta, level, monkeypatch):
+    # product-vs-oracle reaches its widest image stratum with a = S[u1;id]
+    # and b = S[u2;id], d(u1) = d(u2) = level: evaluated on the stratum
+    # (1, 1), the product's action lands in 2*level + (1, 1)
+    top = Word((1,) * level[0], (1,) * level[1])
+    draws = [top, EMPTY_WORD, top, EMPTY_WORD]
+    assert _oracle_case_details(theta, level, draws, monkeypatch) == ("1/1 exact",) * 2
+
+
+@pytest.mark.parametrize("table", ["identity33", "flip33", "mixed33"])
+def test_the_oracle_cases_hold_their_deepest_draw_on_3x3_tables(table, request, monkeypatch):
+    # a = S[w;w] and b = S[id;w] with d(w) = (3, 3): the product S[w;w.w]
+    # puts the evaluation stratum at (7, 7), whose 3^14 words are more than
+    # MAX_WORDS; only the rows that b and the product have are walked, and
+    # each term's tails stay within (4, 4)
+    theta = request.getfixturevalue(table)
+    w = Word((1, 2, 3), (3, 1, 2))
+    draws = [w, w, EMPTY_WORD, w]
+    assert _oracle_case_details(theta, (3, 3), draws, monkeypatch) == ("1/1 exact",) * 2
 
 
 def test_a_pair_that_is_not_twisted_is_named_by_its_degree(id23, capsys, cold_extension_cache,
