@@ -1,43 +1,46 @@
 """The word kernel: canonical forms, factorization and common extensions.
 
 Letters are signed ints: e_i is +i, f_j is -j (1-based). A commutation
-table is prepared once into a flat handle; all functions here are pure and
+table is prepared once into a handle; all functions here are pure and
 operate on plain int tuples. `factor` splits a word by rewriting only the
 letters that cross the cut, and `common_ext` decides a pair of
 comparable degrees with one factorization and a pair of incomparable
 degrees by comparing the two words at their meet, then walking the
 extension letter by letter and pruning every branch that leaves u.
 
-Encoding of the table: index (i-1)*n + (j-1) holds (i'-1)*n + (j'-1),
-meaning the pair e_i f_j rewrites to f_{j'} e_{i'}. The forward table
-pulls f-letters to the front (`to_f_first`, `factor`); the inverse table
-pulls e-letters to the front (`normalize`, `concat`).
+Encoding of the table: the handle is (m, n, fwd, inv), two pair tables
+indexed by letter (row and column 0 unused) that share one tuple per index
+pair: fwd[i][j] is (i', j') for e_i f_j = f_{j'} e_{i'}, and inv[i'][j'] is
+(i, j), so a letter crossing is one row read and one unpack. The forward
+table pulls f-letters to the front (`to_f_first`, `factor`); the inverse
+table pulls e-letters to the front (`normalize`, `concat`).
 """
 
 BACKEND = "pure"
 
 
 def prepare(m, n, fwd):
-    """Build a kernel handle from the flat forward table."""
-    fwd = tuple(fwd)
-    inv = [0] * (m * n)
-    for src, dst in enumerate(fwd):
-        inv[dst] = src
-    return (m, n, fwd, tuple(inv))
+    """Build a kernel handle from a forward permutation of the m*n index
+    pairs numbered i-major: entry (i-1)*n + (j-1) holds (i'-1)*n + (j'-1)."""
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    fwd_rows = [[None] * (n + 1) for _ in range(m + 1)]
+    inv_rows = [[None] * (n + 1) for _ in range(m + 1)]
+    for src, dst in zip(pairs, fwd):
+        image = fwd_rows[src[0]][src[1]] = pairs[dst]
+        inv_rows[image[0]][image[1]] = src
+    return (m, n, tuple(map(tuple, fwd_rows)), tuple(map(tuple, inv_rows)))
 
 
 def normalize(tables, letters):
     """Canonical (e-block, f-block) of a signed-letter sequence."""
-    _, n, _, inv = tables
+    inv = tables[3]
     es = []
     fs = []
     for x in letters:
         if x > 0:
             cur = x
             for k in range(len(fs) - 1, -1, -1):
-                src = inv[(cur - 1) * n + (fs[k] - 1)]
-                cur = src // n + 1
-                fs[k] = src % n + 1
+                cur, fs[k] = inv[cur][fs[k]]
             es.append(cur)
         else:
             fs.append(-x)
@@ -46,14 +49,12 @@ def normalize(tables, letters):
 
 def concat(tables, e1, f1, e2, f2):
     """Canonical form of the juxtaposition of two canonical words."""
-    _, n, _, inv = tables
+    inv = tables[3]
     es = list(e1)
     fs = list(f1)
     for cur in e2:
         for k in range(len(fs) - 1, -1, -1):
-            src = inv[(cur - 1) * n + (fs[k] - 1)]
-            cur = src // n + 1
-            fs[k] = src % n + 1
+            cur, fs[k] = inv[cur][fs[k]]
         es.append(cur)
     fs.extend(f2)
     return tuple(es), tuple(fs)
@@ -61,14 +62,12 @@ def concat(tables, e1, f1, e2, f2):
 
 def to_f_first(tables, es_in, fs_in):
     """Rewrite a canonical word into its unique f-first form (f-block, e-block)."""
-    _, n, fwd, _ = tables
+    fwd = tables[2]
     es = list(es_in)
     fs = []
     for cur in fs_in:
         for k in range(len(es) - 1, -1, -1):
-            dst = fwd[(es[k] - 1) * n + (cur - 1)]
-            es[k] = dst // n + 1
-            cur = dst % n + 1
+            es[k], cur = fwd[es[k]][cur]
         fs.append(cur)
     return tuple(fs), tuple(es)
 
@@ -113,13 +112,13 @@ def _walk_from_meet(tables, eu, fu, ev, fv):
     At the meet (|eu|, |fv|) u is x.u' and v is x.v' for one prefix x, or
     there is no extension; u' is a pure f-word and v' a pure e-word. Every
     extension is w1 = g, a pure f-word, and w2 = h, a pure e-word, with
-    v'.g == u'.h. The walk pushes g one letter at a time through the
-    e-letters left of v' with `to_f_first`, keeps a branch only while the
-    letters that come out spell u', and reads h off each leaf. Branches
-    leave the stack in increasing order of their letter, depth first, so g
-    comes out sorted.
+    v'.g == u'.h. The walk pushes each candidate letter of g through the
+    e-letters its branch has left, rewriting a copy of them in place, keeps
+    the branch only while the letter that comes out continues u', and reads
+    h off each leaf. Branches leave the stack in increasing order of their
+    letter, depth first, so g comes out sorted.
     """
-    n = tables[1]
+    n, fwd = tables[1], tables[2]
     au, bv = len(eu), len(fv)
     xf, rest = to_f_first(tables, ev[au:], fv)
     if ev[:au] != eu or xf != fu[:bv]:
@@ -132,8 +131,11 @@ def _walk_from_meet(tables, eu, fu, ev, fv):
         if len(g) == len(want):
             out.append(((), g, es, ()))
             continue
+        target = want[len(g)]
         for j in range(n, 0, -1):
-            (cur,), pushed = to_f_first(tables, es, (j,))
-            if cur == want[len(g)]:
-                stack.append((g + (j,), pushed))
+            pushed, cur = list(es), j
+            for k in range(len(es) - 1, -1, -1):
+                pushed[k], cur = fwd[pushed[k]][cur]
+            if cur == target:
+                stack.append((g + (j,), tuple(pushed)))
     return out

@@ -148,8 +148,8 @@ class Permutation2D:
     table built again (as each CLI invocation does) starts cold.
     """
 
-    __slots__ = ("m", "n", "table", "_fwd_flat", "_handle", "_hash", "_prefixes",
-                 "_strata", "_strata_words")
+    __slots__ = ("m", "n", "table", "_handle", "_hash", "_prefixes", "_strata",
+                 "_strata_words")
 
     def __init__(self, m: int, n: int, table: dict[tuple[int, int], tuple[int, int]]):
         if m < 1 or n < 1:
@@ -171,9 +171,8 @@ class Permutation2D:
         self.m = m
         self.n = n
         self.table = dict(table)
-        self._fwd_flat = tuple(fwd)
-        self._handle = kernel.prepare(m, n, self._fwd_flat)
-        self._hash = hash((m, n, self._fwd_flat))
+        self._handle = kernel.prepare(m, n, fwd)
+        self._hash = hash((m, n, tuple(fwd)))
         self._prefixes: dict[tuple[Word, Degree], Word] = {}
         self._strata: dict[Degree, tuple[Word, ...]] = {}
         self._strata_words = 0
@@ -203,7 +202,7 @@ class Permutation2D:
             return True
         if not isinstance(other, Permutation2D):
             return NotImplemented
-        return (self.m, self.n, self._fwd_flat) == (other.m, other.n, other._fwd_flat)
+        return self._handle[:3] == other._handle[:3]
 
     def __hash__(self) -> int:
         return self._hash
@@ -212,8 +211,9 @@ class Permutation2D:
         return f"Permutation2D(m={self.m}, n={self.n})"
 
 
-# a table of m*n index pairs costs about 1 us and 330 bytes a pair to build;
-# 65536 is 256x256 (about 0.06 s, 21 MB), 10^6 pairs took 1.3 s and 350 MB
+# a table of m*n index pairs takes about 1.7 us and 360 bytes a pair at the peak
+# to build and keeps 225 (its kernel pair tables: 0.5 us, 73 bytes); 65536 is
+# 256x256, about 0.11 s and 23 MB at the peak (CPython 3.11, 2-core x86_64)
 MAX_TABLE_PAIRS = 65536
 # so a letter index with more digits than the cap is out of range on every
 # table that `make_theta` builds
@@ -244,15 +244,26 @@ def make_theta(m: int, n: int, spec) -> Permutation2D:
 
 
 def _to_signed(theta: Permutation2D, letters: Iterable) -> list[int]:
+    """The signed ints of a letter sequence, checked against m and n in one
+    pass: a letter is an int or an ("e" | "f", int) pair, anything else (a
+    bool too) is malformed, and `check_letter` only words an index out of range."""
+    m, n = theta.m, theta.n
     out = []
     for letter in letters:
-        if isinstance(letter, int):
-            kind = "e" if letter > 0 else "f"
-            idx = abs(letter)
-        else:
+        if type(letter) is int:
+            if letter and -n <= letter <= m:
+                out.append(letter)
+                continue
+            kind, idx = ("e", letter) if letter > 0 else ("f", -letter)
+        elif (isinstance(letter, (tuple, list)) and len(letter) == 2
+              and letter[0] in ("e", "f") and type(letter[1]) is int):
             kind, idx = letter
+            if 1 <= idx <= (m if kind == "e" else n):
+                out.append(idx if kind == "e" else -idx)
+                continue
+        else:
+            raise MalformedInput(f"bad letter {letter!r}: need an int or an ('e'|'f', int) pair")
         theta.check_letter(kind, idx)
-        out.append(idx if kind == "e" else -idx)
     return out
 
 
@@ -260,7 +271,8 @@ def normal_form(theta: Permutation2D, letters: Iterable) -> Word:
     """Canonical e-first word of an arbitrary letter sequence.
 
     Letters may be (kind, index) pairs or signed ints (+i for e_i, -j for
-    f_j). The result does not depend on the rewrite order.
+    f_j); any other letter raises `MalformedInput`, and an index out of range
+    `IndexOutOfRange`. The result does not depend on the rewrite order.
     """
     return _word(kernel.normalize(theta._handle, _to_signed(theta, letters)))
 

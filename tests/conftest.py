@@ -5,9 +5,9 @@ from twograph.semigroup import Permutation2D
 
 
 @st.composite
-def random_theta(draw):
-    """A random permutation table with m, n <= 3."""
-    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+def random_theta(draw, top=3):
+    """A random permutation table with m, n <= top."""
+    m, n = draw(st.integers(1, top)), draw(st.integers(1, top))
     pairs = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
     return Permutation2D(m, n, dict(zip(pairs, draw(st.permutations(pairs)))))
 

@@ -1,5 +1,7 @@
-"""The word kernel on random tables: `concat` and `factor` against each
-other and against `normalize`, and `common_ext` against a brute force."""
+"""The word kernel on random tables: the pair tables against the table they
+come from, `concat` and `factor` against each other and against
+`normalize`, the table reads of each, and `common_ext` against a brute
+force."""
 
 import random
 from itertools import product
@@ -8,6 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twograph import kernel
+from twograph.semigroup import Permutation2D
+
+from conftest import random_theta
 
 
 def random_table(rng, m, n):
@@ -46,8 +51,32 @@ def test_concat_of_factors_is_the_word(data):
             assert kernel.concat(tables, e1, f1, e2, f2) == (es, fs)
 
 
+def assert_pair_tables_match(theta):
+    handle = theta._handle
+    m, n, fwd, inv = handle
+    assert handle[:2] == (theta.m, theta.n)
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            i2, j2 = theta.apply(i, j)
+            assert fwd[i][j] == (i2, j2) and inv[i2][j2] == (i, j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_theta(top=4))
+def test_pair_tables_match_the_table_they_come_from(theta):
+    assert_pair_tables_match(theta)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (4, 1), (4, 4)])
+def test_pair_tables_of_the_builtin_tables(m, n):
+    assert_pair_tables_match(Permutation2D.identity(m, n))
+    if m == n:
+        assert_pair_tables_match(Permutation2D.flip(m, n))
+
+
 class CountingTable(tuple):
-    """A flat rewrite table that counts its reads."""
+    """A table of the kernel handle that counts its reads: each row read of
+    a pair table is one letter crossing."""
 
     reads = 0
 
@@ -56,17 +85,51 @@ class CountingTable(tuple):
         return super().__getitem__(index)
 
 
+def counting_handle(m, n, seed):
+    """A prepared random table, plain and with both tables counting reads."""
+    plain = kernel.prepare(m, n, random_table(random.Random(seed), m, n))
+    return plain, (m, n, CountingTable(plain[2]), CountingTable(plain[3]))
+
+
 @pytest.mark.parametrize("p, q", [(2, 1), (0, 6), (6, 0), (3, 4), (6, 6)])
 def test_factor_rewrites_only_the_letters_the_prefix_takes(p, q):
     # a split at (p, q) pulls the q f-letters the prefix takes past the
     # |e| - p e-letters it leaves, and pushes nothing back
-    m, n, fwd, inv = plain = kernel.prepare(3, 3, random_table(random.Random(6), 3, 3))
-    fwd, inv = CountingTable(fwd), CountingTable(inv)
+    plain, counting = counting_handle(3, 3, 6)
     es, fs = (1, 2, 3, 1, 2, 3), (3, 2, 1, 1, 2, 3)
-    got = kernel.factor((m, n, fwd, inv), es, fs, p, q)
-    assert (fwd.reads, inv.reads) == ((len(es) - p) * q, 0)
+    got = kernel.factor(counting, es, fs, p, q)
+    assert (counting[2].reads, counting[3].reads) == ((len(es) - p) * q, 0)
     assert got == kernel.factor(plain, es, fs, p, q)
     assert kernel.concat(plain, *got) == (es, fs)
+
+
+@pytest.mark.parametrize("e1, f1, e2, f2", [
+    ((), (), (1, 2), (3,)),
+    ((1,), (2, 3), (), (1,)),
+    ((1, 2), (3, 1, 2), (2, 3, 1), (1, 1)),
+    ((), (3, 3, 3, 3), (1, 1, 1, 1, 1), ()),
+])
+def test_concat_pushes_each_right_e_letter_past_each_left_f_letter(e1, f1, e2, f2):
+    plain, counting = counting_handle(3, 3, 8)
+    got = kernel.concat(counting, e1, f1, e2, f2)
+    assert (counting[2].reads, counting[3].reads) == (0, len(e2) * len(f1))
+    assert got == kernel.concat(plain, e1, f1, e2, f2)
+    assert got == kernel.normalize(plain, [*e1, *(-j for j in f1), *e2, *(-j for j in f2)])
+
+
+@pytest.mark.parametrize("letters", [
+    [],
+    [1, 2, 3, -1, -2],
+    [-1, -2, -3],
+    [-1, 1, -2, 2, -3, 3],
+    [1, -3, -2, 3, -1, 2, 2, -3],
+])
+def test_normalize_pushes_each_e_letter_past_the_f_letters_before_it(letters):
+    plain, counting = counting_handle(3, 3, 9)
+    crossings = sum(x > 0 and sum(y < 0 for y in letters[:k]) for k, x in enumerate(letters))
+    got = kernel.normalize(counting, letters)
+    assert (counting[2].reads, counting[3].reads) == (0, crossings)
+    assert got == kernel.normalize(plain, letters)
 
 
 @settings(max_examples=150, deadline=None)

@@ -11,6 +11,7 @@ from twograph.errors import (
     DegreeTooLarge,
     FlipRequiresSquare,
     IndexOutOfRange,
+    MalformedInput,
     NotABijection,
     TableTooLarge,
 )
@@ -88,6 +89,25 @@ class TestNormalForm:
     def test_index_out_of_range(self, flip22):
         with pytest.raises(IndexOutOfRange):
             normal_form(flip22, [("e", 3)])
+
+    @pytest.mark.parametrize("letter, error, text", [
+        (("g", 1), MalformedInput, "bad letter ('g', 1)"),
+        (("e", 1.0), MalformedInput, "bad letter ('e', 1.0)"),
+        (1.5, MalformedInput, "bad letter 1.5"),
+        (True, MalformedInput, "bad letter True"),
+        (0, IndexOutOfRange, "f0 out of range (bound 3)"),
+        (3, IndexOutOfRange, "e3 out of range (bound 2)"),
+        (-4, IndexOutOfRange, "f4 out of range (bound 3)"),
+        (("e", 0), IndexOutOfRange, "e0 out of range (bound 2)"),
+        (("f", -2), IndexOutOfRange, "f-2 out of range (bound 3)"),
+    ])
+    def test_a_bad_letter_is_refused_by_name(self, id23, letter, error, text):
+        # a kind other than e and f, or an index that is not an int, is
+        # malformed; an int index out of range is named with its bound
+        with pytest.raises(error) as refusal:
+            normal_form(id23, [("e", 1), -1, letter])
+        assert type(refusal.value) is error
+        assert str(refusal.value) == text or str(refusal.value).startswith(text + ":")
 
     @pytest.mark.parametrize("digits", [6, 5000])
     def test_index_longer_than_any_table_refused_before_it_is_read(self, flip22, digits):
