@@ -284,12 +284,14 @@ def mul(a: Element, b: Element) -> Element:
     is exact. The right operand is grouped by d(u2); each class is bucketed
     by the prefix of u2 at each meet the left operand asks for (built once
     per (class, meet) on first use), and only the bucket of v1's prefix is
-    scanned. The bucket keys and v1's prefix are read through `prefix_at`,
-    so a split that the kernel made for the table once, in this call or an
+    scanned. A word whose degree is the meet is its own prefix there; any
+    other bucket key and v1's prefix are read through `prefix_at`, so a
+    split that the kernel made for the table once, in this call or an
     earlier one, comes from the table's prefix memo. The common-extension
-    cache decides every surviving pair. Pairs are taken in the right
-    operand's order, so the sums are accumulated in the same sequence as an
-    all-pairs loop would.
+    cache decides every surviving pair, and an empty extension block is
+    not joined. Pairs are taken in the right operand's order (a single
+    degree class yields them in that order already), so the sums are
+    accumulated in the same sequence as an all-pairs loop would.
     """
     a._require_same_theta(b)
     theta = a.theta
@@ -299,8 +301,7 @@ def mul(a: Element, b: Element) -> Element:
         u2 = t2.u
         classes.setdefault((len(u2.e_block), len(u2.f_block)), []).append((idx, u2, t2.v, c2))
     buckets: dict[tuple[Degree, Degree], dict[Word, list]] = {}
-    for t1, c1 in a._terms.items():
-        v1 = t1.v
+    for (u1, v1), c1 in a._terms.items():
         p, q = len(v1.e_block), len(v1.f_block)
         hits = []
         for dc, members in classes.items():
@@ -309,10 +310,15 @@ def mul(a: Element, b: Element) -> Element:
             bucket = buckets.get((dc, meet))
             if bucket is None:
                 bucket = buckets[(dc, meet)] = {}
-                for member in members:
-                    bucket.setdefault(prefix_at(theta, member[1], meet), []).append(member)
-            hits += bucket.get(prefix_at(theta, v1, meet), ())
-        hits.sort()
+                if meet == dc:  # u2 is its own prefix at the meet
+                    for member in members:
+                        bucket.setdefault(member[1], []).append(member)
+                else:
+                    for member in members:
+                        bucket.setdefault(prefix_at(theta, member[1], meet), []).append(member)
+            hits += bucket.get(v1 if meet == (p, q) else prefix_at(theta, v1, meet), ())
+        if len(classes) > 1:
+            hits.sort()
         for _, u2, v2, c2 in hits:
             # multiply the coefficients only for pairs that meet
             exts = _common_extensions_cached(theta, u2, v1)
@@ -320,11 +326,11 @@ def mul(a: Element, b: Element) -> Element:
                 continue
             c = c1 * c2
             for w1, w2 in exts:
-                _accumulate(
-                    acc,
-                    _term((concat(theta, t1.u, w1), concat(theta, v2, w2))),
-                    c,
-                )
+                # an empty extension leaves its word as it stands
+                _accumulate(acc, _term((
+                    concat(theta, u1, w1) if w1 != EMPTY_WORD else u1,
+                    concat(theta, v2, w2) if w2 != EMPTY_WORD else v2,
+                )), c)
     return Element._of(theta, acc).canonicalize()
 
 
@@ -384,7 +390,8 @@ def gauge(a: Element, t) -> Element:
     for term, c in a._terms.items():
         d1, d2 = term.degree
         acc[term] = c * g1 ** d1 * g2 ** d2
-    return Element(a.theta, acc)
+    # unit-modulus factors keep every coefficient nonzero
+    return Element._of(a.theta, acc)
 
 
 def gauge_float(a: Element, t: tuple[complex, complex]) -> dict[GenTerm, complex]:
@@ -395,7 +402,8 @@ def gauge_float(a: Element, t: tuple[complex, complex]) -> dict[GenTerm, complex
     powers: dict[Degree, tuple[complex, complex]] = {}
     out = {}
     for term, c in a._terms.items():
-        d = term.degree
+        (ue, uf), (ve, vf) = term
+        d = (len(ue) - len(ve), len(uf) - len(vf))
         pw = powers.get(d)
         if pw is None:
             pw = powers[d] = (t1 ** d[0], t2 ** d[1])

@@ -75,7 +75,7 @@ def canonical_endomorphism_apply(theta: Permutation2D, p: int, q: int, x: Elemen
     for w in enumerate_words(theta, (p, q)):
         for t, c in x._terms.items():
             acc[_term((concat(theta, w, t.u), concat(theta, w, t.v)))] = c
-    return Element(theta, acc).canonicalize()
+    return Element._of(theta, acc).canonicalize()
 
 
 def shift_e(x: Element) -> Element:
@@ -217,7 +217,7 @@ class Endomorphism:
             img = mul(self.word_image(t.u), self.word_image(t.v).adjoint())
             for t2, c2 in img._terms.items():
                 _accumulate(acc, t2, c * c2)
-        return Element(self.theta, acc).canonicalize()
+        return Element._of(self.theta, acc).canonicalize()
 
     def generator_images(self) -> tuple[dict[int, Element], dict[int, Element]]:
         return dict(self._e_images), dict(self._f_images)

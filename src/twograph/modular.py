@@ -88,7 +88,8 @@ def modular_flow(t, a: Element):
     phases: dict[Degree, complex] = {}
     out = {}
     for term, c in a._terms.items():
-        d = term.degree
+        (ue, uf), (ve, vf) = term
+        d = (len(ue) - len(ve), len(uf) - len(vf))
         phase = phases.get(d)
         if phase is None:
             # (-d1, -d2) = d(v) - d(u)
@@ -101,7 +102,8 @@ def _scale_terms(a: Element, z, swap: bool) -> Element:
     """s_u s_v* -> m^(z a) n^(z b) s_u s_v*, where (a, b) = d(u) - d(v); with
     `swap` the term becomes s_v s_u* and its coefficient is conjugated.
 
-    Both maps are injective on terms, so no two images need merging."""
+    Both maps are injective on terms, so no two images need merging, and
+    the factors are positive reals, so no coefficient becomes zero."""
     theta = a.theta
     if swap:
         terms = {
@@ -110,7 +112,7 @@ def _scale_terms(a: Element, z, swap: bool) -> Element:
         }
     else:
         terms = {t: c * power_of_base(theta, t.degree, z) for t, c in a._terms.items()}
-    return Element(theta, terms)
+    return Element._of(theta, terms)
 
 
 def kms_check(a: Element, b: Element) -> tuple[bool, ExactScalar, ExactScalar]:

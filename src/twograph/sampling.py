@@ -5,6 +5,13 @@ requested level box, letters uniformly per position, and coefficients are
 Gaussian rationals with numerators in [-3, 3] and denominators in [1, 3]
 (never both parts zero). Everything is driven by an explicit
 `random.Random`, so a fixed seed reproduces a suite byte for byte.
+
+The draw rule is CPython's `randint(a, b)` rule, taken straight from
+`getrandbits` by `_below`: with n = b - a + 1 and k = n.bit_length(), draw k
+bits and reject any r >= n. So `randint` and the samplers here consume the
+same bits and give the same values. Each accepted (re numerator, re
+denominator, im numerator, im denominator) draw of `random_coeff` maps to
+one shared `ExactScalar`, built the first time it is drawn.
 """
 
 from __future__ import annotations
@@ -12,25 +19,37 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import Element, GenTerm, _accumulate, permutation_unitary
+from .algebra import Element, GenTerm, _accumulate, _term, permutation_unitary
 from .scalar import ExactScalar
-from .semigroup import Degree, Permutation2D, Word, enumerate_words
+from .semigroup import Degree, Permutation2D, Word, _word, enumerate_words
 
 
 def rng_from_seed(seed: int) -> random.Random:
     return random.Random(seed)
 
 
+def _below(getrandbits, n: int) -> int:
+    """A uniform int in [0, n), drawn as `randint(0, n - 1)` draws it: k =
+    n.bit_length() bits at a time, rejecting r >= n (n = 1 still draws)."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_degree(rng: random.Random, level: Degree) -> Degree:
-    return (rng.randint(0, level[0]), rng.randint(0, level[1]))
+    getrandbits = rng.getrandbits
+    return (_below(getrandbits, level[0] + 1), _below(getrandbits, level[1] + 1))
 
 
 def random_word(rng: random.Random, theta: Permutation2D, level: Degree) -> Word:
     a, b = random_degree(rng, level)
-    return Word(
-        tuple(rng.randint(1, theta.m) for _ in range(a)),
-        tuple(rng.randint(1, theta.n) for _ in range(b)),
-    )
+    getrandbits, m, n = rng.getrandbits, theta.m, theta.n
+    return _word((
+        tuple([1 + _below(getrandbits, m) for _ in range(a)]),
+        tuple([1 + _below(getrandbits, n) for _ in range(b)]),
+    ))
 
 
 def random_letters(rng: random.Random, theta: Permutation2D, length: int) -> list[int]:
@@ -44,12 +63,25 @@ def random_letters(rng: random.Random, theta: Permutation2D, length: int) -> lis
     return out
 
 
+# (re numerator, re denominator, im numerator, im denominator) -> its scalar,
+# filled as draws come: at most 7 * 3 * 7 * 3 entries, and scalars are
+# immutable, so draws share them
+_COEFFS: dict[tuple[int, int, int, int], ExactScalar] = {}
+
+
 def random_coeff(rng: random.Random) -> ExactScalar:
+    getrandbits = rng.getrandbits
     while True:
-        re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        im = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        if re or im:
-            return ExactScalar.gaussian(re, im)
+        draw = (_below(getrandbits, 7) - 3, _below(getrandbits, 3) + 1,
+                _below(getrandbits, 7) - 3, _below(getrandbits, 3) + 1)
+        coeff = _COEFFS.get(draw)
+        if coeff is None:
+            re_num, re_den, im_num, im_den = draw
+            if not (re_num or im_num):
+                continue
+            coeff = _COEFFS[draw] = ExactScalar.gaussian(Fraction(re_num, re_den),
+                                                         Fraction(im_num, im_den))
+        return coeff
 
 
 def random_element(
@@ -57,9 +89,9 @@ def random_element(
 ) -> Element:
     acc: dict[GenTerm, ExactScalar] = {}
     for _ in range(terms):
-        t = GenTerm(random_word(rng, theta, level), random_word(rng, theta, level))
+        t = _term((random_word(rng, theta, level), random_word(rng, theta, level)))
         _accumulate(acc, t, random_coeff(rng))
-    return Element(theta, acc)
+    return Element._of(theta, acc)
 
 
 def random_core_element(
@@ -69,9 +101,9 @@ def random_core_element(
     words = enumerate_words(theta, (k, k))
     acc: dict[GenTerm, ExactScalar] = {}
     for _ in range(terms):
-        t = GenTerm(rng.choice(words), rng.choice(words))
+        t = _term((rng.choice(words), rng.choice(words)))
         _accumulate(acc, t, random_coeff(rng))
-    return Element(theta, acc)
+    return Element._of(theta, acc)
 
 
 # the fourth roots of unity: torus points and phases that stay Gaussian rational

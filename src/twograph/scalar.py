@@ -271,6 +271,22 @@ class ExactScalar:
         return other + (-self)
 
     def __mul__(self, other) -> "ExactScalar":
+        if type(other) is ExactScalar:
+            if self is _ONE_SCALAR:
+                return other
+            if other is _ONE_SCALAR:
+                return self
+            if len(self._terms) == 1 and len(other._terms) == 1:
+                x, y = self._terms.get(()), other._terms.get(())
+                if x is not None and y is not None:
+                    # Gaussian x Gaussian: no exponent to fold, and a product
+                    # of nonzero Gaussian rationals is nonzero
+                    a, b, d = x
+                    c, e, f = y
+                    coeff = _reduced(a * c - b * e, a * e + b * c, d * f)
+                    if coeff == _ONE_COEFF:
+                        return _ONE_SCALAR
+                    return ExactScalar({(): coeff})
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -280,17 +296,6 @@ class ExactScalar:
             return other
         if other is _ONE_SCALAR or other._terms == _ONE_TERMS:
             return self
-        if len(self._terms) == 1 and len(other._terms) == 1:
-            x, y = self._terms.get(()), other._terms.get(())
-            if x is not None and y is not None:
-                # Gaussian x Gaussian: no exponent to fold, and a product of
-                # nonzero Gaussian rationals is nonzero
-                a, b, d = x
-                c, e, f = y
-                coeff = _reduced(a * c - b * e, a * e + b * c, d * f)
-                if coeff == _ONE_COEFF:
-                    return _ONE_SCALAR
-                return ExactScalar({(): coeff})
         raw = []
         for m1, (a, b, d) in self._terms.items():
             d1 = dict(m1)

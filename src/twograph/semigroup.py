@@ -193,6 +193,8 @@ class Permutation2D:
         return self.table[(i, j)]
 
     def check_letter(self, kind: str, index: int) -> None:
+        if kind not in ("e", "f"):
+            raise MalformedInput(f"bad letter kind {kind!r}: need 'e' or 'f'")
         bound = self.m if kind == "e" else self.n
         if not 1 <= index <= bound:
             raise IndexOutOfRange(f"{kind}{index} out of range (bound {bound})")

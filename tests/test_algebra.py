@@ -20,8 +20,14 @@ from twograph.algebra import (
     raise_level,
 )
 from twograph.errors import NotAPermutation, NotUnitModulus, ThetaMismatch
-from twograph.sampling import random_element, random_letters, random_word, rng_from_seed
-from twograph.scalar import ExactScalar
+from twograph.sampling import (
+    random_element,
+    random_letters,
+    random_unitary,
+    random_word,
+    rng_from_seed,
+)
+from twograph.scalar import ExactScalar, power_of_base
 from twograph.semigroup import (
     EMPTY_WORD,
     Word,
@@ -170,6 +176,30 @@ class TestMul:
         got, expected = mul(left, right), all_pairs_mul(left, right)
         assert list(got._terms.items()) == list(expected._terms.items())
         assert not got.is_empty
+
+    @pytest.mark.parametrize("theta", ["flip22", "id23", "mixed23"], indirect=True)
+    def test_joins_each_nonempty_extension_block_once(self, theta, monkeypatch):
+        # a pair that meets joins u1.w1 and v2.w2, and an empty block leaves
+        # its word as it stands; canonicalize (which also joins) is held off
+        rng = rng_from_seed(17)
+        pairs = [(random_element(rng, theta, (2, 2), terms=4),
+                  random_element(rng, theta, (2, 2), terms=4)) for _ in range(30)]
+        expected = sum((w1 != EMPTY_WORD) + (w2 != EMPTY_WORD)
+                       for a, b in pairs for t1 in a._terms for t2 in b._terms
+                       for w1, w2 in common_extensions(theta, t2.u, t1.v))
+        joins = []
+        original = algebra.concat
+
+        def counting_concat(th, w1, w2):
+            joins.append(w2)
+            return original(th, w1, w2)
+
+        monkeypatch.setattr(algebra, "concat", counting_concat)
+        monkeypatch.setattr(Element, "canonicalize", lambda self: self)
+        for a, b in pairs:
+            mul(a, b)
+        assert len(joins) == expected > 0
+        assert EMPTY_WORD not in joins
 
     def test_theta_mismatch(self, flip22, id22):
         with pytest.raises(ThetaMismatch):
@@ -464,8 +494,6 @@ class TestPermutationUnitary:
 
     def test_always_unitary(self, theta):
         rng = rng_from_seed(28)
-        from twograph.sampling import random_unitary
-
         for _ in range(10):
             assert is_unitary(random_unitary(rng, theta))
 
@@ -517,3 +545,69 @@ def test_hot_paths_build_exact_words_and_terms(name, request):
     words += [part for t in terms for part in t]
     assert all(type(w) is Word for w in words)
     assert all(str(w) == str(Word(*w)) and w == Word(*w) for w in words)
+
+
+def _radical_elements(theta):
+    # a plus two modular powers of random elements: coefficients that are
+    # sums of a Gaussian rational and radical monomials m^r n^s
+    rng = rng_from_seed(23)
+    for _ in range(6):
+        a, b = random_element(rng, theta, (2, 2), terms=4), random_element(rng, theta, (1, 2))
+        yield a + modular.modular_power(Fraction(1, 3), b) + modular.modular_power(Fraction(1, 2), a)
+
+
+TORUS_POINT = ((0, 1), (Fraction(3, 5), Fraction(-4, 5)))
+
+
+def _inner_endomorphism(theta):
+    return endo.Endomorphism(endo.inner_pair(random_unitary(rng_from_seed(4), theta)))
+
+
+def _filtered_reference(name, x):
+    """The operator built as `Element(theta, ...)`, which drops zero
+    coefficients, from the same terms in the same order."""
+    theta = x.theta
+    if name == "gauge":
+        g1, g2 = (ExactScalar.gaussian(*g) for g in TORUS_POINT)
+        return Element(theta, {t: c * g1 ** t.degree[0] * g2 ** t.degree[1]
+                               for t, c in x._terms.items()})
+    if name == "modular_power":
+        return Element(theta, {t: c * power_of_base(theta, t.degree, Fraction(-1, 2))
+                               for t, c in x._terms.items()})
+    if name == "modular_conjugation":
+        return Element(theta, {GenTerm(t.v, t.u): c.conjugate() * power_of_base(theta, t.degree, Fraction(1, 2))
+                               for t, c in x._terms.items()})
+    if name == "shift_e":
+        return Element(theta, {GenTerm(concat(theta, w, t.u), concat(theta, w, t.v)): c
+                               for w in enumerate_words(theta, (1, 0))
+                               for t, c in x._terms.items()}).canonicalize()
+    lam = _inner_endomorphism(theta)
+    acc = {}
+    for t, c in x._terms.items():
+        for t2, c2 in mul(lam.word_image(t.u), lam.word_image(t.v).adjoint())._terms.items():
+            _accumulate(acc, t2, c * c2)
+    return Element(theta, acc).canonicalize()
+
+
+_TRUSTED_BUILDS = {
+    "gauge": lambda x: gauge(x, TORUS_POINT),
+    "modular_power": lambda x: modular.modular_power(Fraction(1, 2), x),
+    "modular_conjugation": modular.modular_conjugation,
+    "shift_e": endo.shift_e,
+    "Endomorphism.apply": lambda x: _inner_endomorphism(x.theta).apply(x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRUSTED_BUILDS))
+@pytest.mark.parametrize("theta", ["flip22", "id23", "mixed23"], indirect=True)
+def test_trusted_builds_hold_no_zero_and_match_the_filtered_build(name, theta):
+    # these operators take their terms into `Element._of` unfiltered: each
+    # factor is nonzero, so no coefficient of the result may be zero, and
+    # the result is term for term, in order, the filtered build
+    radical = 0
+    for x in _radical_elements(theta):
+        radical += any(c.as_gaussian() is None for c in x._terms.values())
+        got = _TRUSTED_BUILDS[name](x)
+        assert got._terms and not any(c.is_zero for c in got._terms.values())
+        assert list(got._terms.items()) == list(_filtered_reference(name, x)._terms.items())
+    assert radical

@@ -109,6 +109,22 @@ class TestNormalForm:
         assert type(refusal.value) is error
         assert str(refusal.value) == text or str(refusal.value).startswith(text + ":")
 
+    @pytest.mark.parametrize("kind", ["g", "E", "", None])
+    def test_check_letter_refuses_a_kind_other_than_e_and_f(self, id23, kind):
+        with pytest.raises(MalformedInput, match="bad letter kind"):
+            id23.check_letter(kind, 1)
+
+    @pytest.mark.parametrize("kind, index, text", [
+        ("e", 0, "e0 out of range (bound 2)"),
+        ("e", 3, "e3 out of range (bound 2)"),
+        ("f", 4, "f4 out of range (bound 3)"),
+    ])
+    def test_check_letter_names_an_index_out_of_range_with_its_bound(self, id23, kind, index, text):
+        assert id23.check_letter("e", 2) is None and id23.check_letter("f", 3) is None
+        with pytest.raises(IndexOutOfRange) as refusal:
+            id23.check_letter(kind, index)
+        assert str(refusal.value) == text
+
     @pytest.mark.parametrize("digits", [6, 5000])
     def test_index_longer_than_any_table_refused_before_it_is_read(self, flip22, digits):
         # 5000 digits is past int()'s 4300-digit limit
