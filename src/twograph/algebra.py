@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import NotAPermutation, NotUnitModulus, ThetaMismatch
+from .errors import MalformedInput, NotAPermutation, NotUnitModulus, ThetaMismatch
 from .scalar import ExactScalar
 from .semigroup import (
     Degree,
@@ -365,31 +365,43 @@ def support_degrees(a: Element) -> set[Degree]:
     return {t.degree for t in a.canonicalize()._terms}
 
 
-def _as_gaussian_pair(t) -> tuple[Fraction, Fraction]:
-    if isinstance(t, ExactScalar):
-        g = t.as_gaussian()
-        if g is None:
-            raise NotUnitModulus("torus points must be plain Gaussian rationals")
-        return g
-    re, im = t
-    return Fraction(re), Fraction(im)
+def _unit_gaussian(x, what: str) -> ExactScalar:
+    """x as an ExactScalar of modulus one; x is an ExactScalar or an (re, im)
+    pair of rationals, and a refusal names `what` (say "phases"). |x| = 1 is
+    decided on the int triple (re, im, den): re^2 + im^2 == den^2."""
+    if not isinstance(x, ExactScalar):
+        try:
+            re, im = x
+            x = ExactScalar.gaussian(re, im)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise MalformedInput(f"{what} must be ExactScalars or (re, im) pairs, "
+                                 f"got {x!r}") from None
+    if x._terms.keys() - {()}:
+        raise NotUnitModulus(f"{what} must be plain Gaussian rationals, got {x}")
+    re, im, den = x._terms.get((), (0, 0, 1))
+    if re * re + im * im != den * den:
+        raise NotUnitModulus(f"{what} must have modulus one: "
+                             f"|t|^2 = {Fraction(re * re + im * im, den * den)} != 1")
+    return x
 
 
 def gauge(a: Element, t) -> Element:
     """The torus action: scales s_u s_v* by t^(d(u) - d(v)), exactly.
 
     `t` is a pair of unit-modulus Gaussian rationals, each given as an
-    ExactScalar or an (re, im) pair.
+    ExactScalar or an (re, im) pair. The factor t1^d1 t2^d2 is computed once
+    per degree difference (d1, d2).
     """
-    t1, t2 = (_as_gaussian_pair(x) for x in t)
-    for re, im in (t1, t2):
-        if re * re + im * im != 1:
-            raise NotUnitModulus(f"|t|^2 = {re * re + im * im} != 1")
-    g1, g2 = ExactScalar.gaussian(*t1), ExactScalar.gaussian(*t2)
+    g1, g2 = (_unit_gaussian(x, "torus points") for x in t)
+    factors: dict[Degree, ExactScalar] = {}
     acc = {}
     for term, c in a._terms.items():
-        d1, d2 = term.degree
-        acc[term] = c * g1 ** d1 * g2 ** d2
+        (ue, uf), (ve, vf) = term
+        d = (len(ue) - len(ve), len(uf) - len(vf))
+        factor = factors.get(d)
+        if factor is None:
+            factor = factors[d] = g1 ** d[0] * g2 ** d[1]
+        acc[term] = c * factor
     # unit-modulus factors keep every coefficient nonzero
     return Element._of(a.theta, acc)
 
@@ -459,12 +471,7 @@ def permutation_unitary(
     if phases is None:
         phase_list = [ExactScalar.one()] * size
     else:
-        phase_list = []
-        for ph in phases:
-            re, im = _as_gaussian_pair(ph)
-            if re * re + im * im != 1:
-                raise NotUnitModulus("phases must have modulus one")
-            phase_list.append(ExactScalar.gaussian(re, im))
+        phase_list = [_unit_gaussian(ph, "phases") for ph in phases]
         if len(phase_list) != size:
             raise NotAPermutation(f"expected {size} phases, got {len(phase_list)}")
     acc = {

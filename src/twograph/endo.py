@@ -238,13 +238,15 @@ def pair_from_generator_map(
     The images must satisfy the commutation relations and assemble into
     unitaries; otherwise RelationsViolated is raised.
     """
-    for (i, j), (i2, j2) in theta.table.items():
-        lhs = mul(e_images[i], f_images[j])
-        rhs = mul(f_images[j2], e_images[i2])
-        if not (lhs - rhs).is_zero():
-            raise RelationsViolated(
-                f"images of e{i} f{j} and f{j2} e{i2} disagree"
-            )
+    for i in range(1, theta.m + 1):
+        for j in range(1, theta.n + 1):
+            i2, j2 = theta.apply(i, j)
+            lhs = mul(e_images[i], f_images[j])
+            rhs = mul(f_images[j2], e_images[i2])
+            if not (lhs - rhs).is_zero():
+                raise RelationsViolated(
+                    f"images of e{i} f{j} and f{j2} e{i2} disagree"
+                )
     u = Element.zero(theta)
     for i in range(1, theta.m + 1):
         u = u + mul(e_images[i], Element.gen(theta, EMPTY_WORD, Word((i,), ())))

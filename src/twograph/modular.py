@@ -17,7 +17,8 @@ equilibrium identity omega(AB) = omega(flow_i(B) A), checked exactly by
 
 All coefficient factors depend only on the degree difference of a term, so
 each operator is well-defined on any representation, not just canonical
-ones.
+ones, and each computes one factor per degree difference of its operand
+(through `power_of_base`, or a phase at real time), not one per term.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 from .algebra import Element, _term, mul
 from .errors import MalformedInput
-from .scalar import ExactScalar, power_of_base
+from .scalar import ExactScalar, _rational, power_of_base
 from .semigroup import Degree, Permutation2D
 
 
@@ -58,16 +59,19 @@ def tomita_f(a: Element) -> Element:
     return _scale_terms(a, 1, swap=True)
 
 
+_HALF = Fraction(1, 2)
+
+
 def modular_conjugation(a: Element) -> Element:
     """Anti-unitary J: s_u s_v* -> m^(a/2) n^(b/2) s_v s_u*, where
     (a, b) = d(u) - d(v)."""
-    return _scale_terms(a, Fraction(1, 2), swap=True)
+    return _scale_terms(a, _HALF, swap=True)
 
 
 def modular_power(z, a: Element) -> Element:
     """The z-th power of the modular operator, exact for rational z:
     scales s_u s_v* by m^(-z a) n^(-z b), where (a, b) = d(u) - d(v)."""
-    return _scale_terms(a, -Fraction(z), swap=False)
+    return _scale_terms(a, -_rational(z), swap=False)
 
 
 def modular_flow(t, a: Element):
@@ -102,16 +106,22 @@ def _scale_terms(a: Element, z, swap: bool) -> Element:
     """s_u s_v* -> m^(z a) n^(z b) s_u s_v*, where (a, b) = d(u) - d(v); with
     `swap` the term becomes s_v s_u* and its coefficient is conjugated.
 
-    Both maps are injective on terms, so no two images need merging, and
-    the factors are positive reals, so no coefficient becomes zero."""
+    Each factor is computed once per degree difference. Both maps are
+    injective on terms, so no two images need merging, and the factors are
+    positive reals, so no coefficient becomes zero."""
     theta = a.theta
-    if swap:
-        terms = {
-            _term((t.v, t.u)): c.conjugate() * power_of_base(theta, t.degree, z)
-            for t, c in a._terms.items()
-        }
-    else:
-        terms = {t: c * power_of_base(theta, t.degree, z) for t, c in a._terms.items()}
+    factors: dict[Degree, ExactScalar] = {}
+    terms = {}
+    for t, c in a._terms.items():
+        (ue, uf), (ve, vf) = t
+        d = (len(ue) - len(ve), len(uf) - len(vf))
+        factor = factors.get(d)
+        if factor is None:
+            factor = factors[d] = power_of_base(theta, d, z)
+        if swap:
+            terms[_term((t[1], t[0]))] = c.conjugate() * factor
+        else:
+            terms[t] = c * factor
     return Element._of(theta, terms)
 
 

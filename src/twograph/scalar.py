@@ -276,17 +276,27 @@ class ExactScalar:
                 return other
             if other is _ONE_SCALAR:
                 return self
-            if len(self._terms) == 1 and len(other._terms) == 1:
-                x, y = self._terms.get(()), other._terms.get(())
-                if x is not None and y is not None:
-                    # Gaussian x Gaussian: no exponent to fold, and a product
-                    # of nonzero Gaussian rationals is nonzero
-                    a, b, d = x
-                    c, e, f = y
-                    coeff = _reduced(a * c - b * e, a * e + b * c, d * f)
-                    if coeff == _ONE_COEFF:
-                        return _ONE_SCALAR
-                    return ExactScalar({(): coeff})
+            st, ot = self._terms, other._terms
+            x = st.get(()) if len(st) == 1 else None
+            y = ot.get(()) if len(ot) == 1 else None
+            if x is not None and y is not None:
+                # Gaussian x Gaussian: no exponent to fold, and a product
+                # of nonzero Gaussian rationals is nonzero
+                a, b, d = x
+                c, e, f = y
+                coeff = _reduced(a * c - b * e, a * e + b * c, d * f)
+                if coeff == _ONE_COEFF:
+                    return _ONE_SCALAR
+                return ExactScalar({(): coeff})
+            if x is not None or y is not None:
+                # a nonzero Gaussian times a sum of monomials: no exponent
+                # changes and no coefficient becomes zero, so each coefficient
+                # is scaled where it stands, in the same monomial order
+                (c, e, f), terms = (x, ot) if x is not None else (y, st)
+                if not terms:
+                    return _ZERO_SCALAR
+                return ExactScalar({m: _reduced(a * c - b * e, a * e + b * c, d * f)
+                                    for m, (a, b, d) in terms.items()})
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -324,16 +334,19 @@ class ExactScalar:
         if len(self._terms) != 1:
             raise ZeroDivisionError("can only invert single-term scalars")
         ((mono, (re, im, den)),) = self._terms.items()
+        if not mono:
+            coeff = _reduced(re * den, -im * den, re * re + im * im)
+            return _ONE_SCALAR if coeff == _ONE_COEFF else ExactScalar({(): coeff})
         exps = {p: -r for p, r in mono}
         return ExactScalar._from_raw([(exps, (re * den, -im * den, re * re + im * im))])
 
     def __pow__(self, k: int) -> "ExactScalar":
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = ExactScalar.one()
         base = self
+        if k < 0:
+            base, k = self.inverse(), -k
+        out = ExactScalar.one()
         while k:
             if k & 1:
                 out = out * base
@@ -419,13 +432,17 @@ def power_of_base(theta, delta, z) -> ExactScalar:
 
     `theta` only contributes the generator counts (m, n); delta is an integer
     pair, z a rational. Shared prime factors of m and n combine correctly
-    because bases are stored factorized. Memoized on (m, n, delta, z) in an
-    LRU cache bounded at 4096 entries: the results are immutable, and the
-    same few hundred keys recur across the suites.
+    because bases are stored factorized. Memoized in an LRU cache bounded at
+    4096 entries on the int key (m, n, delta_1, delta_2, num, den), where
+    num/den is z in lowest terms, read straight off an int or a Fraction (any
+    other z goes through Fraction(z) first): the results are immutable, and
+    the same few hundred keys recur across the suites.
     """
-    return _power_of_base(theta.m, theta.n, (delta[0], delta[1]), Fraction(z))
+    z = _rational(z)
+    return _power_of_base(theta.m, theta.n, delta[0], delta[1], z.numerator, z.denominator)
 
 
 @lru_cache(maxsize=4096)
-def _power_of_base(m: int, n: int, delta: tuple[int, int], z: Fraction) -> ExactScalar:
-    return ExactScalar.root(m, z * delta[0]) * ExactScalar.root(n, z * delta[1])
+def _power_of_base(m: int, n: int, d1: int, d2: int, num: int, den: int) -> ExactScalar:
+    z = Fraction(num, den)
+    return ExactScalar.root(m, z * d1) * ExactScalar.root(n, z * d2)

@@ -148,7 +148,7 @@ class Permutation2D:
     table built again (as each CLI invocation does) starts cold.
     """
 
-    __slots__ = ("m", "n", "table", "_handle", "_hash", "_prefixes", "_strata",
+    __slots__ = ("m", "n", "_handle", "_hash", "_prefixes", "_strata",
                  "_strata_words")
 
     def __init__(self, m: int, n: int, table: dict[tuple[int, int], tuple[int, int]]):
@@ -170,7 +170,6 @@ class Permutation2D:
             raise NotABijection("table does not cover all index pairs")
         self.m = m
         self.n = n
-        self.table = dict(table)
         self._handle = kernel.prepare(m, n, fwd)
         self._hash = hash((m, n, tuple(fwd)))
         self._prefixes: dict[tuple[Word, Degree], Word] = {}
@@ -189,8 +188,8 @@ class Permutation2D:
         return cls(m, n, {(i, j): (j, i) for i in range(1, m + 1) for j in range(1, n + 1)})
 
     def apply(self, i: int, j: int) -> tuple[int, int]:
-        """theta(i, j)."""
-        return self.table[(i, j)]
+        """theta(i, j), read off the kernel's forward pair table."""
+        return self._handle[2][i][j]
 
     def check_letter(self, kind: str, index: int) -> None:
         if kind not in ("e", "f"):
@@ -213,9 +212,9 @@ class Permutation2D:
         return f"Permutation2D(m={self.m}, n={self.n})"
 
 
-# a table of m*n index pairs takes about 1.7 us and 360 bytes a pair at the peak
-# to build and keeps 225 (its kernel pair tables: 0.5 us, 73 bytes); 65536 is
-# 256x256, about 0.11 s and 23 MB at the peak (CPython 3.11, 2-core x86_64)
+# a table of m*n index pairs takes about 1.3 us and 320 bytes a pair at the peak
+# to build and keeps 73, its kernel pair tables; 65536 is 256x256, about
+# 0.09 s and 21 MB at the peak (CPython 3.11, 2-core x86_64, tracemalloc)
 MAX_TABLE_PAIRS = 65536
 # so a letter index with more digits than the cap is out of range on every
 # table that `make_theta` builds

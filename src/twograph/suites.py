@@ -112,14 +112,15 @@ def _trials(count: int, trial: Callable[[], str | None]) -> Iterator[str | None]
 def naive_normal_form(
     theta: Permutation2D, letters, order: str = "ltr", rng: random.Random | None = None
 ) -> tuple[Word, bool]:
-    """One-step-at-a-time rewriter driven by the table dict.
+    """One-step-at-a-time rewriter driven by the table entries (`apply`).
 
     Rewrites a single adjacent (f, e) pair per step, site chosen by
     `order` in {"ltr", "rtl", "random"}. Returns (word, degree_ok) where
     degree_ok records that every individual step preserved the letter
     counts. Deliberately independent of the kernel.
     """
-    inv = {img: src for src, img in theta.table.items()}
+    inv = {theta.apply(i, j): (i, j)
+           for i in range(1, theta.m + 1) for j in range(1, theta.n + 1)}
     seq = list(letters)
     degree_ok = True
     while True:

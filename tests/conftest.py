@@ -5,11 +5,18 @@ from twograph.semigroup import Permutation2D
 
 
 @st.composite
-def random_theta(draw, top=3):
-    """A random permutation table with m, n <= top."""
+def random_entries(draw, top=3):
+    """(m, n, entries) of a random permutation table with m, n <= top: the
+    entries map each index pair (i, j) to its image theta(i, j)."""
     m, n = draw(st.integers(1, top)), draw(st.integers(1, top))
     pairs = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-    return Permutation2D(m, n, dict(zip(pairs, draw(st.permutations(pairs)))))
+    return m, n, dict(zip(pairs, draw(st.permutations(pairs))))
+
+
+@st.composite
+def random_theta(draw, top=3):
+    """A random permutation table with m, n <= top."""
+    return Permutation2D(*draw(random_entries(top)))
 
 
 @pytest.fixture(scope="session")

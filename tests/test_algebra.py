@@ -19,7 +19,13 @@ from twograph.algebra import (
     permutation_unitary,
     raise_level,
 )
-from twograph.errors import NotAPermutation, NotUnitModulus, ThetaMismatch
+from twograph.errors import (
+    MalformedInput,
+    NotAPermutation,
+    NotUnitModulus,
+    ThetaMismatch,
+    TwoGraphError,
+)
 from twograph.sampling import (
     random_element,
     random_letters,
@@ -506,6 +512,55 @@ class TestPermutationUnitary:
             permutation_unitary(
                 theta, (0, 0), None, [ExactScalar.rational(2)]
             )
+
+
+def _gauge_e1(theta, value):
+    """gauge of s_e1 at (value, 1): value times s_e1, at the term (e1, id)."""
+    return gauge(gen(theta, "e1", "id"), (value, (1, 0)))
+
+
+def _phase_first(theta, value):
+    """The diagonal unitary on degree (1, 0) with phase value at (e1, e1)."""
+    size = len(enumerate_words(theta, (1, 0)))
+    return permutation_unitary(theta, (1, 0), None, [value] + [ExactScalar.one()] * (size - 1))
+
+
+_UNIT_CALLERS = [("torus points", _gauge_e1), ("phases", _phase_first)]
+
+
+@pytest.mark.parametrize("what, call", _UNIT_CALLERS)
+@pytest.mark.parametrize("value, error, text", [
+    (ExactScalar.zero(), NotUnitModulus, "must have modulus one: |t|^2 = 0 != 1"),
+    ((0, 0), NotUnitModulus, "must have modulus one: |t|^2 = 0 != 1"),
+    ((1, 1), NotUnitModulus, "must have modulus one: |t|^2 = 2 != 1"),
+    (ExactScalar.gaussian(1, 1), NotUnitModulus, "must have modulus one: |t|^2 = 2 != 1"),
+    ((Fraction(1, 2), 0), NotUnitModulus, "must have modulus one: |t|^2 = 1/4 != 1"),
+    (ExactScalar.root(2, Fraction(1, 2)), NotUnitModulus,
+     "must be plain Gaussian rationals, got 2^(1/2)"),
+    (1j, MalformedInput, "must be ExactScalars or (re, im) pairs, got 1j"),
+    ((1, 0, 0), MalformedInput, "must be ExactScalars or (re, im) pairs, got (1, 0, 0)"),
+    (("x", "0"), MalformedInput, "must be ExactScalars or (re, im) pairs, got ('x', '0')"),
+])
+def test_unit_refusals_name_their_argument(id23, what, call, value, error, text):
+    with pytest.raises(TwoGraphError) as info:
+        call(id23, value)
+    assert type(info.value) is error
+    assert str(info.value) == f"{what} {text}"
+
+
+@pytest.mark.parametrize("what, call", _UNIT_CALLERS)
+@pytest.mark.parametrize("value", [
+    (Fraction(3, 5), Fraction(4, 5)), ("3/5", "4/5"), [Fraction(3, 5), Fraction(4, 5)],
+    ExactScalar.gaussian(Fraction(3, 5), Fraction(4, 5)),
+])
+def test_unit_gaussians_are_accepted_as_pairs_or_scalars(id23, what, call, value):
+    t = ExactScalar.gaussian(Fraction(3, 5), Fraction(4, 5))
+    got = call(id23, value)
+    e1 = word(id23, "e1")
+    if what == "phases":
+        assert got.coefficient(GenTerm(e1, e1)) == t and is_unitary(got)
+    else:
+        assert got == gen(id23, "e1", "id").scaled(t)
 
 
 def test_element_str_sorted_and_parseable(theta):

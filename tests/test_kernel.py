@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from twograph import kernel
 from twograph.semigroup import Permutation2D
 
-from conftest import random_theta
+from conftest import random_entries
 
 
 def random_table(rng, m, n):
@@ -51,27 +51,29 @@ def test_concat_of_factors_is_the_word(data):
             assert kernel.concat(tables, e1, f1, e2, f2) == (es, fs)
 
 
-def assert_pair_tables_match(theta):
-    handle = theta._handle
-    m, n, fwd, inv = handle
-    assert handle[:2] == (theta.m, theta.n)
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            i2, j2 = theta.apply(i, j)
-            assert fwd[i][j] == (i2, j2) and inv[i2][j2] == (i, j)
+def assert_pair_tables_match(theta, entries):
+    """The kernel's pair tables, and `apply` that reads them, against the
+    entries the table was built from."""
+    m, n, fwd, inv = theta._handle
+    assert (m, n) == (theta.m, theta.n) and len(entries) == m * n
+    for (i, j), (i2, j2) in entries.items():
+        assert theta.apply(i, j) == (i2, j2)
+        assert fwd[i][j] == (i2, j2) and inv[i2][j2] == (i, j)
 
 
 @settings(max_examples=100, deadline=None)
-@given(random_theta(top=4))
-def test_pair_tables_match_the_table_they_come_from(theta):
-    assert_pair_tables_match(theta)
+@given(random_entries(top=4))
+def test_pair_tables_match_the_table_they_come_from(table):
+    m, n, entries = table
+    assert_pair_tables_match(Permutation2D(m, n, entries), entries)
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (4, 1), (4, 4)])
 def test_pair_tables_of_the_builtin_tables(m, n):
-    assert_pair_tables_match(Permutation2D.identity(m, n))
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    assert_pair_tables_match(Permutation2D.identity(m, n), {p: p for p in pairs})
     if m == n:
-        assert_pair_tables_match(Permutation2D.flip(m, n))
+        assert_pair_tables_match(Permutation2D.flip(m, n), {(i, j): (j, i) for i, j in pairs})
 
 
 class CountingTable(tuple):

@@ -65,6 +65,22 @@ def test_power_of_base_is_memoized_on_the_counts(id23, mixed23, id22):
     assert scalar._power_of_base.cache_info().maxsize is not None
 
 
+@pytest.mark.parametrize("z", [0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), "1/2", "-2/3",
+                               "3", 0.5, -0.25])
+@pytest.mark.parametrize("delta", [(0, 0), (1, 0), (-2, 1), (3, -3)])
+def test_power_of_base_equals_the_product_of_roots(id23, mixed33, delta, z):
+    # an int or Fraction exponent is read as it stands, any other goes
+    # through Fraction(z); every form lands on the same value
+    for theta in (id23, mixed33, Permutation2D.identity(4, 6)):
+        zf = Fraction(z)
+        want = (ExactScalar.root(theta.m, zf * delta[0])
+                * ExactScalar.root(theta.n, zf * delta[1]))
+        got = power_of_base(theta, delta, z)
+        assert got == want
+        assert list(got._terms.items()) == list(want._terms.items())
+        assert power_of_base(theta, delta, zf) is got
+
+
 def test_fold_inserts_merges_and_cancels_monomials():
     # products fold 2^(1/2) * 2^(1/2) into 2 and merge or cancel the cross terms
     r2 = ExactScalar.root(2, half)
@@ -362,6 +378,18 @@ def test_gaussian_product_of_one_is_the_interned_one():
     # so the identity fast paths fire on it
     x = ExactScalar.gaussian(3, 4)
     assert (i * -i) * x is x
+
+
+def test_gaussian_times_a_sum_scales_each_coefficient_in_place():
+    # the Gaussian fast path keeps the other operand's monomials, in its order
+    r = ExactScalar.root(3, half) + ExactScalar.rational(2) + ExactScalar.root(2, Fraction(2, 3))
+    r_ref = ref_add(ref_add(ref_root(3, half), ref_gaussian(2, 0)), ref_root(2, Fraction(2, 3)))
+    g = ExactScalar.gaussian(Fraction(3, 5), Fraction(-4, 5))
+    for prod in (g * r, r * g):
+        assert list(prod._terms) == list(r._terms)
+        assert_matches(prod, ref_mul(ref_gaussian(Fraction(3, 5), Fraction(-4, 5)), r_ref))
+    assert (g * ExactScalar.zero()) is ExactScalar.zero()
+    assert (ExactScalar.zero() * r).is_zero
 
 
 def test_factoring_is_bounded():

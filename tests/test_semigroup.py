@@ -31,7 +31,7 @@ from twograph.semigroup import (
 )
 from twograph.suites import brute_force_common_extensions, naive_normal_form
 
-from conftest import random_theta
+from conftest import random_entries, random_theta
 
 
 class TestMakeTheta:
@@ -393,6 +393,17 @@ class TestThetaText:
 
     def test_explicit_round_trip(self, id23):
         assert parse_theta_text(theta_text(id23)) == id23
+
+    @settings(max_examples=50, deadline=None)
+    @given(random_entries(top=4))
+    def test_random_round_trip(self, table):
+        # the text lists the entries the table was built from, i-major
+        m, n, entries = table
+        theta = make_theta(m, n, entries.items())
+        text = theta_text(theta)
+        assert text == f"m {m}\nn {n}\n" + "".join(
+            f"{i} {j} -> {i2} {j2}\n" for (i, j), (i2, j2) in sorted(entries.items()))
+        assert parse_theta_text(text) == theta
 
     def test_duplicate_rejected(self):
         text = "m 1\nn 2\n1 1 -> 1 1\n1 2 -> 1 1\n"
