@@ -389,19 +389,13 @@ def gauge(a: Element, t) -> Element:
     """The torus action: scales s_u s_v* by t^(d(u) - d(v)), exactly.
 
     `t` is a pair of unit-modulus Gaussian rationals, each given as an
-    ExactScalar or an (re, im) pair. The factor t1^d1 t2^d2 is computed once
-    per degree difference (d1, d2).
+    ExactScalar or an (re, im) pair.
     """
     g1, g2 = (_unit_gaussian(x, "torus points") for x in t)
-    factors: dict[Degree, ExactScalar] = {}
     acc = {}
     for term, c in a._terms.items():
-        (ue, uf), (ve, vf) = term
-        d = (len(ue) - len(ve), len(uf) - len(vf))
-        factor = factors.get(d)
-        if factor is None:
-            factor = factors[d] = g1 ** d[0] * g2 ** d[1]
-        acc[term] = c * factor
+        d1, d2 = term.degree
+        acc[term] = c * g1 ** d1 * g2 ** d2
     # unit-modulus factors keep every coefficient nonzero
     return Element._of(a.theta, acc)
 

@@ -17,8 +17,7 @@ equilibrium identity omega(AB) = omega(flow_i(B) A), checked exactly by
 
 All coefficient factors depend only on the degree difference of a term, so
 each operator is well-defined on any representation, not just canonical
-ones, and each computes one factor per degree difference of its operand
-(through `power_of_base`, or a phase at real time), not one per term.
+ones.
 """
 
 from __future__ import annotations
@@ -106,22 +105,16 @@ def _scale_terms(a: Element, z, swap: bool) -> Element:
     """s_u s_v* -> m^(z a) n^(z b) s_u s_v*, where (a, b) = d(u) - d(v); with
     `swap` the term becomes s_v s_u* and its coefficient is conjugated.
 
-    Each factor is computed once per degree difference. Both maps are
-    injective on terms, so no two images need merging, and the factors are
-    positive reals, so no coefficient becomes zero."""
+    Both maps are injective on terms, so no two images need merging, and
+    the factors are positive reals, so no coefficient becomes zero."""
     theta = a.theta
-    factors: dict[Degree, ExactScalar] = {}
-    terms = {}
-    for t, c in a._terms.items():
-        (ue, uf), (ve, vf) = t
-        d = (len(ue) - len(ve), len(uf) - len(vf))
-        factor = factors.get(d)
-        if factor is None:
-            factor = factors[d] = power_of_base(theta, d, z)
-        if swap:
-            terms[_term((t[1], t[0]))] = c.conjugate() * factor
-        else:
-            terms[t] = c * factor
+    if swap:
+        terms = {
+            _term((t.v, t.u)): c.conjugate() * power_of_base(theta, t.degree, z)
+            for t, c in a._terms.items()
+        }
+    else:
+        terms = {t: c * power_of_base(theta, t.degree, z) for t, c in a._terms.items()}
     return Element._of(theta, terms)
 
 

@@ -276,27 +276,17 @@ class ExactScalar:
                 return other
             if other is _ONE_SCALAR:
                 return self
-            st, ot = self._terms, other._terms
-            x = st.get(()) if len(st) == 1 else None
-            y = ot.get(()) if len(ot) == 1 else None
-            if x is not None and y is not None:
-                # Gaussian x Gaussian: no exponent to fold, and a product
-                # of nonzero Gaussian rationals is nonzero
-                a, b, d = x
-                c, e, f = y
-                coeff = _reduced(a * c - b * e, a * e + b * c, d * f)
-                if coeff == _ONE_COEFF:
-                    return _ONE_SCALAR
-                return ExactScalar({(): coeff})
-            if x is not None or y is not None:
-                # a nonzero Gaussian times a sum of monomials: no exponent
-                # changes and no coefficient becomes zero, so each coefficient
-                # is scaled where it stands, in the same monomial order
-                (c, e, f), terms = (x, ot) if x is not None else (y, st)
-                if not terms:
-                    return _ZERO_SCALAR
-                return ExactScalar({m: _reduced(a * c - b * e, a * e + b * c, d * f)
-                                    for m, (a, b, d) in terms.items()})
+            if len(self._terms) == 1 and len(other._terms) == 1:
+                x, y = self._terms.get(()), other._terms.get(())
+                if x is not None and y is not None:
+                    # Gaussian x Gaussian: no exponent to fold, and a product
+                    # of nonzero Gaussian rationals is nonzero
+                    a, b, d = x
+                    c, e, f = y
+                    coeff = _reduced(a * c - b * e, a * e + b * c, d * f)
+                    if coeff == _ONE_COEFF:
+                        return _ONE_SCALAR
+                    return ExactScalar({(): coeff})
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -334,19 +324,16 @@ class ExactScalar:
         if len(self._terms) != 1:
             raise ZeroDivisionError("can only invert single-term scalars")
         ((mono, (re, im, den)),) = self._terms.items()
-        if not mono:
-            coeff = _reduced(re * den, -im * den, re * re + im * im)
-            return _ONE_SCALAR if coeff == _ONE_COEFF else ExactScalar({(): coeff})
         exps = {p: -r for p, r in mono}
         return ExactScalar._from_raw([(exps, (re * den, -im * den, re * re + im * im))])
 
     def __pow__(self, k: int) -> "ExactScalar":
         if not isinstance(k, int):
             return NotImplemented
-        base = self
         if k < 0:
-            base, k = self.inverse(), -k
+            return self.inverse() ** (-k)
         out = ExactScalar.one()
+        base = self
         while k:
             if k & 1:
                 out = out * base

@@ -188,7 +188,10 @@ class Permutation2D:
         return cls(m, n, {(i, j): (j, i) for i in range(1, m + 1) for j in range(1, n + 1)})
 
     def apply(self, i: int, j: int) -> tuple[int, int]:
-        """theta(i, j), read off the kernel's forward pair table."""
+        """theta(i, j), read off the kernel's forward pair table; i must lie
+        in 1..m and j in 1..n."""
+        if not (1 <= i <= self.m and 1 <= j <= self.n):
+            raise IndexOutOfRange(f"pair ({i},{j}) out of range (bounds {self.m}, {self.n})")
         return self._handle[2][i][j]
 
     def check_letter(self, kind: str, index: int) -> None:

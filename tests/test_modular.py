@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twograph import modular
 from twograph.algebra import Element, gauge, gauge_float, mul
 from twograph.errors import MalformedInput
 from twograph.modular import (
@@ -26,7 +25,6 @@ from twograph.modular import (
     tomita_s,
 )
 from twograph.sampling import (
-    FOURTH_ROOTS,
     random_coeff,
     random_core_element,
     random_element,
@@ -228,8 +226,6 @@ def test_float_maps_on_many_terms_equal_the_single_term_results(theta, seed, t):
 
 _RADICAL_EXPONENTS = [half, -half, Fraction(1, 3), Fraction(2, 3), Fraction(5, 2)]
 _ORDERS = [1, -1, half, -half, 2, Fraction(1, 3)]
-_UNIT_POINTS = [(t1, t2) for t1 in FOURTH_ROOTS for t2 in FOURTH_ROOTS] + [
-    (ExactScalar.gaussian(Fraction(3, 5), Fraction(4, 5)), ExactScalar.one())]
 
 
 def _radical_element(rng, theta, level=(2, 2), terms=8):
@@ -243,35 +239,6 @@ def _radical_element(rng, theta, level=(2, 2), terms=8):
     })
 
 
-def _exact_maps():
-    """(name, map) for every exact termwise map: modular_power with each z
-    as given and as text, J, F, the flow at i and gauge at unit points."""
-    maps = []
-    for z in _ORDERS:
-        maps.append((f"modular_power({z!r})", lambda a, z=z: modular_power(z, a)))
-        maps.append((f"modular_power({str(z)!r})", lambda a, z=str(z): modular_power(z, a)))
-    maps += [("modular_conjugation", modular_conjugation), ("tomita_f", tomita_f),
-             ("modular_flow(i)", lambda a: modular_flow("i", a))]
-    maps += [(f"gauge({t})", lambda a, t=t: gauge(a, t)) for t in _UNIT_POINTS]
-    return maps
-
-
-@settings(max_examples=30, deadline=None)
-@given(theta=random_theta(), seed=st.integers(0, 2**16))
-def test_exact_maps_on_many_terms_equal_the_single_term_results(theta, seed):
-    """Factors shared by the terms of one degree difference give each term the
-    coefficient it gets when it is mapped alone: the same monomials with the
-    same triples, in the same order."""
-    x = _radical_element(rng_from_seed(seed), theta)
-    for name, f in _exact_maps():
-        mapped = f(x)
-        assert len(mapped._terms) == len(x._terms), name
-        for (term, c), (image, got) in zip(x._terms.items(), mapped._terms.items()):
-            ((alone_image, want),) = f(Element(theta, {term: c}))._terms.items()
-            assert image == alone_image, name
-            assert list(got._terms.items()) == list(want._terms.items()), name
-
-
 def test_modular_power_reads_the_order_as_given_or_as_text(mixed23):
     x = _radical_element(rng_from_seed(61), mixed23)
     for z in _ORDERS:
@@ -280,47 +247,37 @@ def test_modular_power_reads_the_order_as_given_or_as_text(mixed23):
         assert modular_power(z, x)._terms == modular_power(float(z), x)._terms
 
 
-def test_one_factor_per_degree_difference(monkeypatch, mixed23):
-    x = _radical_element(rng_from_seed(62), mixed23, level=(1, 1))
-    differences = {t.degree for t in x._terms}
-    assert len(differences) < len(x._terms)  # so a factor per term would show
-    factors = []
-    real = modular.power_of_base
-    monkeypatch.setattr(modular, "power_of_base",
-                        lambda theta, delta, z: factors.append(delta) or real(theta, delta, z))
-    for f in (lambda a: modular_power(half, a), lambda a: modular_power(-1, a),
-              modular_conjugation, tomita_f, lambda a: modular_flow("i", a)):
-        factors.clear()
-        f(x)
-        assert sorted(factors) == sorted(differences)
-    powers = []
-    real_pow = ExactScalar.__pow__
-    monkeypatch.setattr(ExactScalar, "__pow__",
-                        lambda self, k: powers.append(k) or real_pow(self, k))
-    gauge(x, (ExactScalar.imag_unit(), ExactScalar.gaussian(Fraction(3, 5), Fraction(-4, 5))))
-    # one power per torus coordinate and degree difference
-    assert len(powers) == 2 * len(differences)
-
-
-def test_warm_maps_on_gaussian_coefficients_build_no_fraction(monkeypatch, mixed23):
-    x = random_element(rng_from_seed(63), mixed23, (1, 1), terms=8)
-    assert len({t.degree for t in x._terms}) < len(x._terms)
+def test_warm_maps_with_gaussian_factors_build_no_fraction(monkeypatch, mixed23):
+    """With the factor memo warm, a map whose factors are Gaussian rationals
+    builds no Fraction on an element with Gaussian coefficients. Whole orders
+    give such factors on every table, and half orders on a table whose m and
+    n are squares; elsewhere a half order gives radical factors, and the
+    product adds their Fraction exponents."""
     point = (ExactScalar.imag_unit(), ExactScalar.gaussian(Fraction(3, 5), Fraction(-4, 5)))
-    maps = [lambda a: modular_power(1, a), lambda a: modular_power(-1, a),
-            lambda a: modular_power(2, a), modular_conjugation, tomita_f,
-            lambda a: modular_flow("i", a), lambda a: gauge(a, point)]
-    for f in maps:
-        f(x)  # warm the factor memo
+    whole = [lambda a: modular_power(1, a), lambda a: modular_power(-1, a),
+             lambda a: modular_power(2, a), tomita_f,
+             lambda a: modular_flow("i", a), lambda a: gauge(a, point)]
+    id44 = Permutation2D.identity(4, 4)
+    elements = [(random_element(rng_from_seed(63), theta, (1, 1), terms=8), maps)
+                for theta, maps in ((mixed23, whole), (id44, whole + [modular_conjugation]))]
+    for x, maps in elements:
+        for f in maps:
+            f(x)  # warm the factor memo
     built = []
     real_new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__",
                         lambda cls, *args, **kw: built.append(args) or real_new(cls, *args, **kw))
-    for f in maps:
-        f(x)
+    for x, maps in elements:
+        for f in maps:
+            f(x)
     assert built == []
     # a Fraction order is negated once per call, not once per term
-    modular_power(half, x)
-    assert len(built) == 1
+    x = elements[1][0]
+    for z in (half, -half):
+        modular_power(z, x)  # warm
+        built.clear()
+        modular_power(z, x)
+        assert len(built) == 1
 
 
 class TestKms:

@@ -380,18 +380,6 @@ def test_gaussian_product_of_one_is_the_interned_one():
     assert (i * -i) * x is x
 
 
-def test_gaussian_times_a_sum_scales_each_coefficient_in_place():
-    # the Gaussian fast path keeps the other operand's monomials, in its order
-    r = ExactScalar.root(3, half) + ExactScalar.rational(2) + ExactScalar.root(2, Fraction(2, 3))
-    r_ref = ref_add(ref_add(ref_root(3, half), ref_gaussian(2, 0)), ref_root(2, Fraction(2, 3)))
-    g = ExactScalar.gaussian(Fraction(3, 5), Fraction(-4, 5))
-    for prod in (g * r, r * g):
-        assert list(prod._terms) == list(r._terms)
-        assert_matches(prod, ref_mul(ref_gaussian(Fraction(3, 5), Fraction(-4, 5)), r_ref))
-    assert (g * ExactScalar.zero()) is ExactScalar.zero()
-    assert (ExactScalar.zero() * r).is_zero
-
-
 def test_factoring_is_bounded():
     # a cofactor left below FACTOR_BOUND^2 = 2^40 after trial division is prime
     big_prime = 4294967291  # the largest prime below 2^32

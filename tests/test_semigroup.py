@@ -43,6 +43,14 @@ class TestMakeTheta:
         th = make_theta(2, 2, "flip")
         assert th.apply(1, 2) == (2, 1)
 
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (-1, -1), (-1, 2), (3, 1), (1, 4), (3, 4)])
+    def test_apply_refuses_a_pair_out_of_range(self, id23, i, j):
+        # no zero, negative or past-the-end index reaches the pair table
+        assert id23.apply(2, 3) == (2, 3) and id23.apply(1, 1) == (1, 1)
+        with pytest.raises(IndexOutOfRange) as refusal:
+            id23.apply(i, j)
+        assert str(refusal.value) == f"pair ({i},{j}) out of range (bounds 2, 3)"
+
     def test_flip_requires_square(self):
         with pytest.raises(FlipRequiresSquare):
             make_theta(2, 3, "flip")
