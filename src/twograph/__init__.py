@@ -12,7 +12,6 @@ brute-force graded-action oracle used to cross-check the symbolic path.
 from .algebra import (
     Element,
     GenTerm,
-    canonicalize,
     degree_component,
     gauge,
     gauge_float,
@@ -92,7 +91,6 @@ __all__ = [
     "canonical_endomorphism",
     "canonical_endomorphism_apply",
     "canonical_pair",
-    "canonicalize",
     "common_extensions",
     "compose",
     "concat",

@@ -173,16 +173,9 @@ class Element:
         )
 
     def __mul__(self, other) -> "Element":
-        if isinstance(other, Element):
-            return mul(self, other)
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __rmul__(self, other) -> "Element":
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            return self.scaled(other)
-        return NotImplemented
+        if not isinstance(other, Element):
+            return NotImplemented
+        return mul(self, other)
 
     # --- *-structure ----------------------------------------------------------
 
@@ -341,10 +334,6 @@ def raise_level(theta: Permutation2D, t: GenTerm, delta: Degree) -> Element:
         for w in enumerate_words(theta, delta)
     }
     return Element(theta, acc)
-
-
-def canonicalize(a: Element) -> Element:
-    return a.canonicalize()
 
 
 def degree_component(a: Element, delta: Degree) -> Element:

@@ -21,8 +21,9 @@ unitary W corresponds to the pair (W shift_e(W)*, W shift_f(W)*).
 Since the canonical endomorphism lam_(1,1) of degree (1, 1) gives
 lam_(1,1)(W) s_w = s_w W, a word u of degree (k, k) maps to
 lam(s_u) = P s_u with the cascade unitary P = W lam_(1,1)(W) ...
-lam_(1,1)^(k-1)(W). `ad_product_check` decides these N word identities,
-which imply conjugation by P on all N^2 generators of the level-k core.
+lam_(1,1)^(k-1)(W). `ad_product_check` decides these N word identities as
+the one identity P = sum_u lam(s_u) s_u*, which implies conjugation by P
+on all N^2 generators of the level-k core.
 
 The subalgebra-preservation questions are answered here only at finite
 level: the checks run over a spanning set of the level-k core (or its
@@ -346,8 +347,12 @@ def ad_product_check(endo: Endomorphism, k: int) -> bool:
     """Exact finite identity on the level-k core: lam(s_u) = P s_u for every
     word u of degree (k, k), P the cascade unitary.
 
-    These N word identities imply conjugation by P on all N^2 generators
-    s_u s_v* of the core: `apply(s_u s_v*)` is lam(s_u) lam(s_v)*, and
+    The N word identities hold iff P = sum_u lam(s_u) s_u*, which is decided
+    as one identity: s_u* s_u' = [u = u'] on one degree and
+    sum_u s_u s_u* = 1, and the sum is termwise, since each term s_x s_y* of
+    lam(s_u) gives s_x s_{uy}*. No product against P is formed. The word
+    identities imply conjugation by P on all N^2 generators s_u s_v* of the
+    core: `apply(s_u s_v*)` is lam(s_u) lam(s_v)*, and
     (P s_u)(P s_v)* = P s_u s_v* P*. Every endomorphism built from a
     twisted pair satisfies them: lam(s_w) = W s_w on degree (1, 1), and the
     canonical endomorphism lam_(1,1) of degree (1, 1) gives
@@ -356,11 +361,11 @@ def ad_product_check(endo: Endomorphism, k: int) -> bool:
     if k < 1:
         raise MalformedInput("level must be >= 1")
     theta = endo.theta
-    p = _cascade_unitary(endo, k)
-    return all(
-        endo.word_image(u) == mul(p, Element.gen(theta, u, EMPTY_WORD))
-        for u in enumerate_words(theta, (k, k))
-    )
+    acc: dict[GenTerm, ExactScalar] = {}
+    for u in enumerate_words(theta, (k, k)):
+        for (x, y), c in endo.word_image(u)._terms.items():
+            _accumulate(acc, _term((x, concat(theta, u, y))), c)
+    return Element._of(theta, acc) == _cascade_unitary(endo, k)
 
 
 def preserves_subalgebra(endo: Endomorphism, which: str, k: int) -> bool:

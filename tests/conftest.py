@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import strategies as st
 
@@ -64,6 +66,17 @@ def mixed33():
         (2, 1): (1, 2), (2, 2): (2, 2), (2, 3): (1, 3),
         (3, 1): (3, 2), (3, 2): (2, 3), (3, 3): (3, 3),
     })
+
+
+@pytest.fixture(scope="session")
+def shuffled10x3():
+    """A 10x3 table: the index pairs in i-major order, mapped to the same
+    pairs shuffled by `random.Random(1)`. Its level-2 strata hold 900 words,
+    so a check that multiplies per word against a level-2 product stalls."""
+    pairs = [(i, j) for i in range(1, 11) for j in range(1, 4)]
+    images = list(pairs)
+    random.Random(1).shuffle(images)
+    return Permutation2D(10, 3, dict(zip(pairs, images)))
 
 
 @pytest.fixture(params=["flip22", "id23"], scope="session")

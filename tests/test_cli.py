@@ -173,6 +173,12 @@ class TestEndoCommand:
                             "--theta", "flip", "--m", "2", "--n", "2")
         assert code == 0 and "S[f1;id]" in out
 
+    def test_gallery_apply_with_a_supplied_unitary(self, capsys):
+        # ex39 takes (U, U) for the unitary it is given: U swaps e1 and e2
+        code, out = capture(capsys, "endo", "apply", "ex39(S[e1;e2]+S[e2;e1])", "S[e1;id]",
+                            "--theta", "flip")
+        assert (code, out) == (0, "result: S[e2;id]\n")
+
     def test_canonical_apply(self, capsys):
         code, out = capture(capsys, "endo", "apply", "canonical(0,0)", "S[e1;f1]",
                             "--m", "2", "--n", "3")
@@ -432,6 +438,31 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+
+    @pytest.mark.parametrize("argv, message", [
+        (("check", "all", "--level=-1,0"), "level components must be nonnegative"),
+        (("endo", "apply", "foo", "S[e1;id]"), "unknown pair spec 'foo'"),
+        (("nf", "e1", "--m", "0"), "need m, n >= 1, got m=0, n=2"),
+    ], ids=["negative-level", "unknown-pair-spec", "zero-generators"])
+    def test_refused_flag_names_the_fault(self, capsys, argv, message):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("m 2\nn 2\n", "table file needs at least 3 lines"),
+        ("m x\nn 2\n1 1 -> 1 1\n", "first two lines must be `m <int>` and `n <int>`"),
+        ("m 1\nn 1\nbuiltin identity\n1 1 -> 1 1\n", "builtin line must be the last line"),
+        ("m 1\nn 2\n1 1 -> 1 3\n1 2 -> 1 1\n", "image pair (1,3) out of range"),
+        ("m 1\nn 2\n1 1 -> 1 1\n1 1 -> 1 2\n", "duplicate source pair (1,1)"),
+    ], ids=["too-short", "bad-header", "builtin-not-last", "image-out-of-range",
+            "repeated-source-pair"])
+    def test_refused_table_file_names_the_fault(self, capsys, tmp_path, text, message):
+        path = tmp_path / "table.txt"
+        path.write_text(text)
+        assert run_cli("nf", "e1", "--theta", str(path)) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ("check", "everything"),

@@ -23,6 +23,7 @@ from twograph.endo import (
     twisted_check,
 )
 from twograph.errors import NotTwisted, NotUnitary, RelationsViolated, WrongTheta
+from twograph.exprs import parse_expression
 from twograph.sampling import random_element, random_unitary, rng_from_seed
 from twograph.scalar import ExactScalar
 from twograph.semigroup import EMPTY_WORD, Word, enumerate_words, word
@@ -340,6 +341,11 @@ class TestAdProductCheck:
         lam = canonical_endomorphism(theta, 1, 1)
         assert ad_product_check(lam, 1)
 
+    def test_canonical_pair_at_level_two_on_a_wide_table(self, shuffled10x3):
+        # 900 words of degree (2, 2) and a cascade unitary of 27,000 terms:
+        # decided as one identity, with no product against P per word
+        assert ad_product_check(canonical_endomorphism(shuffled10x3, 1, 1), 2)
+
     def test_rejects_bad_level(self, theta):
         with pytest.raises(ValueError):
             ad_product_check(Endomorphism.identity(theta), 0)
@@ -360,6 +366,15 @@ class TestPreservesSubalgebra:
         lam = Endomorphism(gallery(flip22, "ex312"))
         assert preserves_subalgebra(lam, "core", 1)
         assert preserves_subalgebra(lam, "diagonal", 1)
+
+    @pytest.mark.parametrize("theta", ["id22", "flip22"], indirect=True)
+    def test_hadamard_conjugation_keeps_the_core_but_not_the_diagonal(self, theta):
+        # H mixes e1 and e2 in degree (0, 0), so Ad H maps the core to
+        # itself but sends a diagonal projection to off-diagonal terms
+        h = parse_expression("2^(-1/2)*(S[e1;e1]+S[e1;e2]+S[e2;e1]-S[e2;e2])", theta)
+        lam = Endomorphism(inner_pair(h))
+        assert preserves_subalgebra(lam, "core", 1)
+        assert not preserves_subalgebra(lam, "diagonal", 1)
 
     def test_rejects_unknown(self, theta):
         with pytest.raises(ValueError):

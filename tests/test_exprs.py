@@ -74,6 +74,21 @@ class TestParse:
             parse_expression("S[e1;f2] + ?", theta)
         assert info.value.position == 11
 
+    @pytest.mark.parametrize("src, message, position", [
+        ("S(e1;id]", "expected '['", 1),
+        ("*", "unexpected token '*'", 0),
+        ("0^(1)", "radical base must be >= 1", 0),
+        ("2^(x)", "expected a rational", 3),
+        ("1/x", "expected denominator", 2),
+        ("S[e1.;id]", "expected a letter", 5),
+        ("S[g1;id]", "bad letter 'g1'", 2),
+    ])
+    def test_each_refusal_names_its_position(self, theta, src, message, position):
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse_expression(src, theta)
+        assert info.value.position == position
+        assert str(info.value) == f"{message} (at position {position})"
+
     def test_empty_input(self, theta):
         with pytest.raises(ExpressionSyntaxError):
             parse_expression("", theta)

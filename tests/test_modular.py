@@ -248,31 +248,32 @@ def test_modular_power_reads_the_order_as_given_or_as_text(mixed23):
 
 
 def test_warm_maps_with_gaussian_factors_build_no_fraction(monkeypatch, mixed23):
-    """With the factor memo warm, a map whose factors are Gaussian rationals
-    builds no Fraction on an element with Gaussian coefficients. Whole orders
-    give such factors on every table, and half orders on a table whose m and
-    n are squares; elsewhere a half order gives radical factors, and the
-    product adds their Fraction exponents."""
+    """With the factor memo warm, a map builds no Fraction on an element with
+    Gaussian coefficients. Whole orders give Gaussian factors on every table,
+    and half orders on a table whose m and n are squares; elsewhere a half
+    order (`modular_conjugation` on mixed23) gives radical factors, whose
+    exponents a Gaussian coefficient copies as they stand. Only radical x
+    radical products still add Fraction exponents."""
     point = (ExactScalar.imag_unit(), ExactScalar.gaussian(Fraction(3, 5), Fraction(-4, 5)))
-    whole = [lambda a: modular_power(1, a), lambda a: modular_power(-1, a),
-             lambda a: modular_power(2, a), tomita_f,
-             lambda a: modular_flow("i", a), lambda a: gauge(a, point)]
+    maps = [lambda a: modular_power(1, a), lambda a: modular_power(-1, a),
+            lambda a: modular_power(2, a), tomita_f, modular_conjugation,
+            lambda a: modular_flow("i", a), lambda a: gauge(a, point)]
     id44 = Permutation2D.identity(4, 4)
-    elements = [(random_element(rng_from_seed(63), theta, (1, 1), terms=8), maps)
-                for theta, maps in ((mixed23, whole), (id44, whole + [modular_conjugation]))]
-    for x, maps in elements:
+    elements = [random_element(rng_from_seed(63), theta, (1, 1), terms=8)
+                for theta in (mixed23, id44)]
+    for x in elements:
         for f in maps:
             f(x)  # warm the factor memo
     built = []
     real_new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__",
                         lambda cls, *args, **kw: built.append(args) or real_new(cls, *args, **kw))
-    for x, maps in elements:
+    for x in elements:
         for f in maps:
             f(x)
     assert built == []
     # a Fraction order is negated once per call, not once per term
-    x = elements[1][0]
+    x = elements[1]
     for z in (half, -half):
         modular_power(z, x)  # warm
         built.clear()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from twograph import scalar
+from twograph.algebra import Element
 from twograph.errors import FactoringTooCostly
 from twograph.scalar import ExactScalar, power_of_base
 from twograph.semigroup import Permutation2D
@@ -200,10 +201,17 @@ def test_printing_is_sorted_and_stable():
     assert str(ExactScalar.zero()) == "0"
 
 
-def test_equality_with_plain_numbers():
-    assert ExactScalar.rational(2) == 2
-    assert ExactScalar.gaussian(2, 0) == Fraction(2)
+def test_operators_take_exact_operands_only(flip22):
+    """A plain number is never equal to a scalar, so equal things hash equal;
+    arithmetic with one is refused, and `Element.scaled` is the way to scale."""
+    assert ExactScalar.rational(2) != 2
     assert hash(ExactScalar.rational(2)) == hash(ExactScalar.gaussian(2, 0))
+    one, unit = ExactScalar.one(), Element.unit(flip22)
+    for op in (lambda: one + 1, lambda: 1 + one, lambda: 1 - one, lambda: 2 * one,
+               lambda: unit * 2, lambda: 2 * unit):
+        with pytest.raises(TypeError):
+            op()
+    assert unit.scaled(2) == unit + unit
 
 
 # --- a reference model: {monomial: (re, im)} with Fraction parts -------------
