@@ -12,9 +12,12 @@ sum lam(s_{f_j}) s_{f_j}*). The canonical endomorphisms act termwise by
 
     s_w s_u s_v* s_w* = s_{wu} s_{wv}*,
 
-with no element product. The derived unitary W = U shift_e(V) determines
-the action on all words of degree (1, 1) (lam(s_w) = W s_w) and is cached
-on the pair. Composition multiplies pairs by
+with no element product. The pair holds only U and V; the derived unitary
+W = U shift_e(V), which determines the action on all words of degree (1, 1)
+(lam(s_w) = W s_w), is built where it is read. `UnitaryPair(u, v)` decides
+twistedness through `twisted_check`; `compose`, `pair_product`, `inner_pair`
+and `pair_from_generator_map` build their pairs without a decision, each
+trusting the theorem it names. Composition multiplies pairs by
 (U2, V2) . (U1, V1) = (lam2(U1) U2, lam2(V1) V2), and conjugation by a
 unitary W corresponds to the pair (W shift_e(W)*, W shift_f(W)*).
 
@@ -90,64 +93,55 @@ def shift_f(x: Element) -> Element:
 
 
 def twisted_check(u: Element, v: Element) -> tuple[bool, Element | None]:
-    """Whether (u, v) is a twisted unitary pair.
+    """Whether (u, v) is a twisted unitary pair; the one place the twist is
+    decided.
 
     Returns (True, None) on success and (False, residual) with the nonzero
     residual u*shift_e(v) - v*shift_f(u) (or None if a unitarity check
     failed first).
     """
     u._require_same_theta(v)
-    twist = _twist(u, v)
-    if twist is None:
+    if not (is_unitary(u) and is_unitary(v)):
         return False, None
-    residual = twist[1]
+    residual = (mul(u, shift_e(v)) - mul(v, shift_f(u))).canonicalize()
     if residual.is_empty:
         return True, None
     return False, residual
 
 
-def _twist(u: Element, v: Element) -> tuple[Element, Element] | None:
-    """W = u*shift_e(v) and the canonical residual W - v*shift_f(u), or None
-    if u or v is not unitary."""
-    if not (is_unitary(u) and is_unitary(v)):
-        return None
-    w = mul(u, shift_e(v))
-    return w, (w - mul(v, shift_f(u))).canonicalize()
-
-
 class UnitaryPair:
-    """A twisted pair (U, V) with its derived unitary W cached.
+    """A twisted pair (U, V); the pair is the whole datum of its endomorphism.
 
-    `UnitaryPair(u, v)` decides twistedness and raises `NotTwisted` with the
-    residual. `_trusted` builds a pair that a theorem already makes twisted.
+    `UnitaryPair(u, v)` decides twistedness with `twisted_check` and raises
+    `NotTwisted` with the residual. `_trusted` builds a pair that a theorem
+    already makes twisted; `compose`, `pair_product`, `inner_pair` and
+    `pair_from_generator_map` use it, each naming its theorem.
     """
 
-    __slots__ = ("theta", "U", "V", "W")
+    __slots__ = ("theta", "U", "V")
 
     def __init__(self, u: Element, v: Element):
-        u._require_same_theta(v)
-        twist = _twist(u, v)
-        if twist is None:
-            raise NotTwisted("pair is not twisted")
-        w, residual = twist
-        if not residual.is_empty:
+        twisted, residual = twisted_check(u, v)
+        if residual is not None:
             raise NotTwisted(f"pair is not twisted; residual {residual}")
-        self._fill(u, v, w)
+        if not twisted:
+            raise NotTwisted("pair is not twisted")
+        self.theta, self.U, self.V = u.theta, u.canonicalize(), v.canonicalize()
 
     @classmethod
     def _trusted(cls, u: Element, v: Element) -> "UnitaryPair":
-        """The pair (u, v) without deciding it: only W = u*shift_e(v) is
-        computed. Each caller names the theorem that makes its pair twisted;
+        """The pair (u, v) without deciding it, and without a product. Each
+        caller names the theorem that makes its pair twisted;
         `tests/test_random_tables.py` decides those pairs on random tables."""
         pair = cls.__new__(cls)
-        pair._fill(u, v, mul(u, shift_e(v)))
+        pair.theta, pair.U, pair.V = u.theta, u.canonicalize(), v.canonicalize()
         return pair
 
-    def _fill(self, u: Element, v: Element, w: Element) -> None:
-        self.theta = u.theta
-        self.U = u.canonicalize()
-        self.V = v.canonicalize()
-        self.W = w
+    @property
+    def W(self) -> Element:
+        """The derived unitary W = U shift_e(V), built on each read; it gives
+        the action on words of degree (1, 1): lam(s_w) = W s_w."""
+        return mul(self.U, shift_e(self.V))
 
     @classmethod
     def identity(cls, theta: Permutation2D) -> "UnitaryPair":
@@ -256,7 +250,12 @@ def pair_from_generator_map(
         v = v + mul(f_images[j], Element.gen(theta, EMPTY_WORD, Word((), (j,))))
     if not (is_unitary(u) and is_unitary(v)):
         raise RelationsViolated("images do not assemble into unitaries")
-    return UnitaryPair(u, v)
+    # twisted without a second decision: X_i = u s_{e_i} and Y_j = v s_{f_j},
+    # because s_{e_i}* s_{e_k} = [i = k]; so the m n relations
+    # X_i Y_j = Y_{j'} X_{i'} say u shift_e(v) s_w = v shift_f(u) s_w for
+    # every word w of degree (1, 1), and sum_w s_w s_w* = 1 turns that into
+    # the twist identity
+    return UnitaryPair._trusted(u, v)
 
 
 def canonical_pair(theta: Permutation2D, p: int, q: int) -> UnitaryPair:

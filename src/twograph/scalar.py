@@ -134,13 +134,12 @@ def _canon_terms(raw: Iterable[tuple[dict[int, Fraction], Coeff]]) -> dict[Monom
 class ExactScalar:
     """Immutable element of the coefficient ring, always in canonical form."""
 
-    __slots__ = ("_terms", "_hash", "_complex")
+    __slots__ = ("_terms", "_complex")
 
     def __init__(self, terms: dict[Monomial, Coeff]):
         """`terms` must already be canonical; other input goes through
         `_from_raw`."""
         self._terms = terms
-        self._hash = None
         self._complex = None
 
     # --- constructors -----------------------------------------------------
@@ -227,9 +226,7 @@ class ExactScalar:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     # --- arithmetic ---------------------------------------------------------
 

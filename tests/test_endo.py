@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from twograph.algebra import Element, gauge, mul
+from twograph import endo
+from twograph.algebra import Element, gauge, is_unitary, mul
 from twograph.endo import (
     Endomorphism,
     UnitaryPair,
@@ -114,6 +115,16 @@ class TestTwistedCheck:
             UnitaryPair(gen(theta, "e1", "e1"), Element.unit(theta))
         assert str(info.value) == "pair is not twisted"
 
+    def test_trusted_pair_makes_no_product(self, theta, monkeypatch):
+        # the pair holds U and V alone; W is built on each read
+        pair = canonical_pair(theta, 1, 0)
+        calls = []
+        monkeypatch.setattr(endo, "mul", lambda a, b: calls.append(a) or mul(a, b))
+        trusted = UnitaryPair._trusted(pair.U, pair.V)
+        assert calls == []
+        assert trusted.W == pair.W == mul(pair.U, endo.shift_e(pair.V))
+        assert len(calls) == 2
+
 
 class TestCanonicalPairs:
     @pytest.mark.parametrize("pq", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)])
@@ -175,6 +186,16 @@ class TestEndomorphism:
             lam = Endomorphism(pair)
             e_imgs, f_imgs = lam.generator_images()
             assert pair_from_generator_map(theta, e_imgs, f_imgs).equals(pair)
+
+    def test_generator_map_decides_unitarity_once(self, theta, monkeypatch):
+        # its relation check already makes the assembled pair twisted, so
+        # only its own two unitarity checks run
+        pair = canonical_pair(theta, 1, 0)
+        e_imgs, f_imgs = Endomorphism(pair).generator_images()
+        calls = []
+        monkeypatch.setattr(endo, "is_unitary", lambda x: calls.append(x) or is_unitary(x))
+        assert pair_from_generator_map(theta, e_imgs, f_imgs).equals(pair)
+        assert len(calls) == 2
 
     def test_round_trip_random_inner(self, theta):
         rng = rng_from_seed(65)

@@ -141,13 +141,14 @@ def test_inner_pair_round_trips_and_is_multiplicative(theta, seed):
 @FEW
 @given(theta=random_theta(), seed=SEEDS)
 def test_pairs_built_without_a_decision_are_twisted(theta, seed):
-    # compose, pair_product and inner_pair trust the theory that makes their
-    # pairs twisted; decide each pair here instead
+    # compose, pair_product, inner_pair and pair_from_generator_map trust the
+    # theory that makes their pairs twisted; decide each pair here instead
     rng = rng_from_seed(seed)
     inner = inner_pair(random_unitary(rng, theta))
     shift = canonical_pair(theta, 1, 0)
     built = [inner, compose(Endomorphism(shift), Endomorphism(inner)),
-             pair_product(inner, shift)]
+             pair_product(inner, shift),
+             pair_from_generator_map(theta, *Endomorphism(shift).generator_images())]
     for pair in built:
         assert twisted_check(pair.U, pair.V) == (True, None)
         decided = UnitaryPair(pair.U, pair.V)

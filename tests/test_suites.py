@@ -44,10 +44,14 @@ def test_reports_are_deterministic(id23):
         [(c.case_id, c.passed, c.detail) for r in second for c in r.cases]
 
 
+def _case_detail(report, case_id):
+    (case,) = [c for c in report.cases if c.case_id == case_id]
+    return case.detail
+
+
 def _flow_gauge_detail(theta):
     report = kms_suite(theta, seed=0, level=(2, 2), samples=2, float_tol=1e-9)
-    (case,) = [c for c in report.cases if c.case_id == "flow-equals-gauge-float"]
-    return case.detail
+    return _case_detail(report, "flow-equals-gauge-float")
 
 
 def test_flow_equals_gauge_float_names_its_first_witness(flip22, monkeypatch):
@@ -67,6 +71,44 @@ def test_flow_equals_gauge_float_names_its_first_witness(flip22, monkeypatch):
         "7202/7203 exact; first witness: t=1.0 term=S[e2.f1;f2] "
         "residual=1.0000000000287557e-06"
     )
+
+
+def test_imaginary_time_case_fails_on_a_wrong_modular_power(flip22, monkeypatch):
+    # flow_i(a) and modular_power(-1, a) share one termwise loop, so their
+    # comparison could not fail; the round trip modular_power(1, flow_i(a))
+    # == a fails once power_of_base drops the sign of its exponent
+    def detail():
+        report = kms_suite(flip22, seed=0, level=(1, 1), samples=4, float_tol=1e-9)
+        return _case_detail(report, "imaginary-time-flow-is-inverse-modular")
+
+    assert detail() == "4/4 exact"
+    original = modular.power_of_base
+    monkeypatch.setattr(modular, "power_of_base",
+                        lambda theta, delta, z: original(theta, delta, abs(z)))
+    assert re.fullmatch(r"0/4 exact; first witness: A=.*", detail())
+
+
+def test_degree_conservation_fails_on_a_kernel_that_drops_a_letter(monkeypatch,
+                                                                   cold_extension_cache):
+    # each step of the naive rewriter swaps one f-letter with one e-letter,
+    # so its counts cannot change; the case decides the kernel's word
+    # against the letters drawn. A fresh table keeps the defect's words out
+    # of the shared fixtures' caches
+    theta = semigroup.make_theta(2, 2, "flip")
+
+    def detail():
+        return _case_detail(suites.semigroup_suite(theta, seed=0, level=(1, 1), samples=4),
+                            "degree-conservation")
+
+    assert detail() == "20/20 exact"
+    original = kernel.normalize
+
+    def dropping(tables, letters):
+        es, fs = original(tables, letters)
+        return es[:-1], fs
+
+    monkeypatch.setattr(kernel, "normalize", dropping)
+    assert re.fullmatch(r"\d+/20 exact; first witness: letters=\[.*\]", detail())
 
 
 def test_a_gallery_bug_is_not_recorded_as_a_failed_check(id22, monkeypatch):
