@@ -80,7 +80,11 @@ _term = partial(tuple.__new__, GenTerm)
 
 
 class Element:
-    """Immutable finite linear combination of standard generators."""
+    """Immutable finite linear combination of standard generators.
+
+    The value is the term dict; the order of its terms carries no meaning.
+    Printing sorts (`sorted_terms`), and equality is decided on the
+    canonical form."""
 
     __slots__ = ("theta", "_terms")
 
@@ -189,39 +193,32 @@ class Element:
     # --- canonical form ---------------------------------------------------------
 
     def canonicalize(self) -> "Element":
-        """Raise each degree-difference group to its common v-degree and merge."""
-        if self._is_level_aligned():
-            return self
-        groups: dict[Degree, list[tuple[GenTerm, ExactScalar]]] = {}
-        for t, c in self._terms.items():
-            groups.setdefault(t.degree, []).append((t, c))
-        acc: dict[GenTerm, ExactScalar] = {}
-        for items in groups.values():
-            target = (0, 0)
-            for t, _ in items:
-                target = deg_join(target, t.v.degree)
-            for t, c in items:
-                gap = deg_sub(target, t.v.degree)
-                if gap == (0, 0):
-                    _accumulate(acc, t, c)
-                else:
-                    for w in enumerate_words(self.theta, gap):
-                        _accumulate(
-                            acc,
-                            _term((concat(self.theta, t.u, w), concat(self.theta, t.v, w))),
-                            c,
-                        )
-        return Element._of(self.theta, acc)
+        """Raise each degree-difference group to its common v-degree and merge.
 
-    def _is_level_aligned(self) -> bool:
-        """True iff all terms of each degree difference share one v-degree
-        (degrees read off the four block lengths)."""
-        seen: dict[Degree, Degree] = {}
+        One pass reads each group's target, the join of its v-degrees (off
+        the four block lengths); a level-aligned element, where no term
+        sits below its target, is returned as it stands."""
+        targets: dict[Degree, Degree] = {}
+        aligned = True
         for (ue, uf), (ve, vf) in self._terms:
             dv = (len(ve), len(vf))
-            if seen.setdefault((len(ue) - dv[0], len(uf) - dv[1]), dv) != dv:
-                return False
-        return True
+            d = (len(ue) - dv[0], len(uf) - dv[1])
+            target = targets.setdefault(d, dv)
+            if target != dv:
+                aligned = False
+                targets[d] = deg_join(target, dv)
+        if aligned:
+            return self
+        theta = self.theta
+        acc: dict[GenTerm, ExactScalar] = {}
+        for t, c in self._terms.items():
+            gap = deg_sub(targets[t.degree], t.v.degree)
+            if gap == (0, 0):
+                _accumulate(acc, t, c)
+            else:
+                for w in enumerate_words(theta, gap):
+                    _accumulate(acc, _term((concat(theta, t.u, w), concat(theta, t.v, w))), c)
+        return Element._of(theta, acc)
 
     def is_zero(self) -> bool:
         return self.canonicalize().is_empty
@@ -282,21 +279,17 @@ def mul(a: Element, b: Element) -> Element:
     split that the kernel made for the table once, in this call or an
     earlier one, comes from the table's prefix memo. The common-extension
     cache decides every surviving pair, and an empty extension block is
-    not joined. Pairs are taken in the right operand's order (a single
-    degree class yields them in that order already), so the sums are
-    accumulated in the same sequence as an all-pairs loop would.
+    not joined.
     """
     a._require_same_theta(b)
     theta = a.theta
     acc: dict[GenTerm, ExactScalar] = {}
-    classes: dict[Degree, list[tuple[int, Word, Word, ExactScalar]]] = {}
-    for idx, (t2, c2) in enumerate(b._terms.items()):
-        u2 = t2.u
-        classes.setdefault((len(u2.e_block), len(u2.f_block)), []).append((idx, u2, t2.v, c2))
+    classes: dict[Degree, list[tuple[Word, Word, ExactScalar]]] = {}
+    for (u2, v2), c2 in b._terms.items():
+        classes.setdefault((len(u2.e_block), len(u2.f_block)), []).append((u2, v2, c2))
     buckets: dict[tuple[Degree, Degree], dict[Word, list]] = {}
     for (u1, v1), c1 in a._terms.items():
         p, q = len(v1.e_block), len(v1.f_block)
-        hits = []
         for dc, members in classes.items():
             e2, f2 = dc
             meet = (p if p < e2 else e2, q if q < f2 else f2)
@@ -305,25 +298,22 @@ def mul(a: Element, b: Element) -> Element:
                 bucket = buckets[(dc, meet)] = {}
                 if meet == dc:  # u2 is its own prefix at the meet
                     for member in members:
-                        bucket.setdefault(member[1], []).append(member)
+                        bucket.setdefault(member[0], []).append(member)
                 else:
                     for member in members:
-                        bucket.setdefault(prefix_at(theta, member[1], meet), []).append(member)
-            hits += bucket.get(v1 if meet == (p, q) else prefix_at(theta, v1, meet), ())
-        if len(classes) > 1:
-            hits.sort()
-        for _, u2, v2, c2 in hits:
-            # multiply the coefficients only for pairs that meet
-            exts = _common_extensions_cached(theta, u2, v1)
-            if not exts:
-                continue
-            c = c1 * c2
-            for w1, w2 in exts:
-                # an empty extension leaves its word as it stands
-                _accumulate(acc, _term((
-                    concat(theta, u1, w1) if w1 != EMPTY_WORD else u1,
-                    concat(theta, v2, w2) if w2 != EMPTY_WORD else v2,
-                )), c)
+                        bucket.setdefault(prefix_at(theta, member[0], meet), []).append(member)
+            for u2, v2, c2 in bucket.get(v1 if meet == (p, q) else prefix_at(theta, v1, meet), ()):
+                # multiply the coefficients only for pairs that meet
+                exts = _common_extensions_cached(theta, u2, v1)
+                if not exts:
+                    continue
+                c = c1 * c2
+                for w1, w2 in exts:
+                    # an empty extension leaves its word as it stands
+                    _accumulate(acc, _term((
+                        concat(theta, u1, w1) if w1 != EMPTY_WORD else u1,
+                        concat(theta, v2, w2) if w2 != EMPTY_WORD else v2,
+                    )), c)
     return Element._of(theta, acc).canonicalize()
 
 

@@ -115,14 +115,14 @@ def naive_normal_form(
     """One-step-at-a-time rewriter driven by the table entries (`apply`).
 
     Rewrites a single adjacent (f, e) pair per step, site chosen by
-    `order` in {"ltr", "rtl", "random"}. Returns (word, degree_ok) where
-    degree_ok records that every individual step preserved the letter
-    counts. Deliberately independent of the kernel.
+    `order` in {"ltr", "rtl", "random"}. Returns (word, degree_ok);
+    degree_ok is always True, because each step swaps one f-letter with
+    one e-letter and so keeps the letter counts. Deliberately independent
+    of the kernel.
     """
     inv = {theta.apply(i, j): (i, j)
            for i in range(1, theta.m + 1) for j in range(1, theta.n + 1)}
     seq = list(letters)
-    degree_ok = True
     while True:
         sites = [k for k in range(len(seq) - 1) if seq[k] < 0 < seq[k + 1]]
         if not sites:
@@ -137,14 +137,10 @@ def naive_normal_form(
             raise ValueError(f"unknown order {order!r}")
         j2, i2 = -seq[k], seq[k + 1]
         i, j = inv[(i2, j2)]
-        before = (sum(1 for x in seq if x > 0), sum(1 for x in seq if x < 0))
         seq[k], seq[k + 1] = i, -j
-        after = (sum(1 for x in seq if x > 0), sum(1 for x in seq if x < 0))
-        if before != after:
-            degree_ok = False
     es = tuple(x for x in seq if x > 0)
     fs = tuple(-x for x in seq if x < 0)
-    return Word(es, fs), degree_ok
+    return Word(es, fs), True
 
 
 def brute_force_common_extensions(

@@ -509,18 +509,23 @@ CHECK_ALL_DIGESTS = {
     "flip22": "8bb3422ae59b16efe30b30b20a7c733740b2812d3ff6ebc6edd4d6d040e2fa8e",
     "id23": "3a9c080e91b2ec99e30327ee54a93b25121e2d98915167dc15325b724a2ba647",
     "mixed23": "2ecc9059d566f08f80a93d6f14ae5ad55ec24db0370aa0f71c53b7a4c84f7489",
+    "flip33": "b4f3c1111c9317eb4545fad3e2c976f6de741c1e6fbe8c5b1f300a2797d50448",
+    "mixed33": "140cc42aeb9f26b661f9efc0782fd9270d2a55973c11ef901fc9d6ce6ed240a9",
 }
 CHECK_ALL_TABLES = {
     "flip22": ["--theta", "flip", "--m", "2", "--n", "2"],
     "id23": ["--theta", "identity", "--m", "2", "--n", "3"],
     "mixed23": ["--theta", "mixed23.txt"],
+    "flip33": ["--theta", "flip", "--m", "3", "--n", "3"],
+    "mixed33": ["--theta", "mixed33.txt"],
 }
 
 
 @pytest.mark.parametrize("table", sorted(CHECK_ALL_DIGESTS))
-def test_check_all_records_are_pinned(table, mixed23, tmp_path, monkeypatch, capsys):
+def test_check_all_records_are_pinned(table, mixed23, mixed33, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # the table file's path is part of the output
     (tmp_path / "mixed23.txt").write_text(theta_text(mixed23))
+    (tmp_path / "mixed33.txt").write_text(theta_text(mixed33))
     code = run_cli("check", "all", *CHECK_ALL_TABLES[table], "--samples", "4",
                    "--level", "1,1", "--seed", "0", "--format", "records")
     out = capsys.readouterr().out

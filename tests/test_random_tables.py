@@ -76,7 +76,7 @@ def test_trusted_results_hold_no_zero_and_alignment_reads_the_degrees(theta, see
                a + (-a), a.adjoint(), mul(a, b).adjoint(), a.canonicalize(),
                (a - b).canonicalize(), (mul(a, b) - mul(b, a)).canonicalize()]
     for x in [a, b, *results]:
-        assert x._is_level_aligned() == _aligned_by_definition(x)
+        assert (x.canonicalize() is x) == _aligned_by_definition(x)
     for x in results:
         assert not any(c.is_zero for c in x._terms.values())
 
