@@ -98,10 +98,10 @@ def twisted_check(u: Element, v: Element) -> tuple[bool, Element | None]:
 
     Returns (True, None) on success and (False, residual) with the nonzero
     residual u*shift_e(v) - v*shift_f(u) (or None if a unitarity check
-    failed first).
+    failed first; an operand passed as both u and v is checked once).
     """
     u._require_same_theta(v)
-    if not (is_unitary(u) and is_unitary(v)):
+    if not (is_unitary(u) and (v is u or is_unitary(v))):
         return False, None
     residual = (mul(u, shift_e(v)) - mul(v, shift_f(u))).canonicalize()
     if residual.is_empty:
@@ -159,28 +159,21 @@ class UnitaryPair:
 class Endomorphism:
     """A unital endomorphism given by its twisted pair; applies to elements.
 
-    Word images are built from the cached letter images and memoized; the
-    action on a generator is lam(s_u) lam(s_v)*. Well-definedness over the
-    choice of spelling is guaranteed by the twisted property, which
-    `UnitaryPair` decides before any pair reaches this class, or which a
-    theorem guarantees for the pairs built by `UnitaryPair._trusted`.
+    The pair is the whole datum: nothing is built up front. A letter's image
+    U s_{e_i} or V s_{f_j} is made on its first read, and word images are
+    built from them and memoized in the one word cache; the action on a
+    generator is lam(s_u) lam(s_v)*. Well-definedness over the choice of
+    spelling is guaranteed by the twisted property, which `UnitaryPair`
+    decides before any pair reaches this class, or which a theorem
+    guarantees for the pairs built by `UnitaryPair._trusted`.
     """
 
-    __slots__ = ("pair", "theta", "_e_images", "_f_images", "_word_cache")
+    __slots__ = ("pair", "theta", "_word_cache")
 
     def __init__(self, pair: UnitaryPair):
         self.pair = pair
         self.theta = pair.theta
-        theta = self.theta
-        self._e_images = {
-            i: mul(pair.U, Element.gen(theta, Word((i,), ()), EMPTY_WORD))
-            for i in range(1, theta.m + 1)
-        }
-        self._f_images = {
-            j: mul(pair.V, Element.gen(theta, Word((), (j,)), EMPTY_WORD))
-            for j in range(1, theta.n + 1)
-        }
-        self._word_cache: dict[Word, Element] = {EMPTY_WORD: Element.unit(theta)}
+        self._word_cache: dict[Word, Element] = {EMPTY_WORD: Element.unit(pair.theta)}
 
     @classmethod
     def identity(cls, theta: Permutation2D) -> "Endomorphism":
@@ -188,7 +181,8 @@ class Endomorphism:
 
     def word_image(self, w: Word) -> Element:
         """lam(s_w), leftward from the longest cached suffix of w one letter
-        image at a time, memoizing each suffix on the way."""
+        image at a time, memoizing each suffix on the way; a letter's image
+        is made and memoized the first time it is read."""
         cache = self._word_cache
         out = cache.get(w)
         if out is not None:
@@ -196,11 +190,15 @@ class Endomorphism:
         pending = []
         while out is None:
             e, f = w
-            pending.append((w, self._e_images[e[0]] if e else self._f_images[f[0]]))
+            pending.append((w, Word(e[:1], ()) if e else Word((), f[:1])))
             w = Word(e[1:], f) if e else Word((), f[1:])
             out = cache.get(w)
-        for w, head in reversed(pending):
-            out = cache[w] = mul(head, out)
+        for w, letter in reversed(pending):
+            head = cache.get(letter)
+            if head is None:
+                unitary = self.pair.U if letter.e_block else self.pair.V
+                head = cache[letter] = mul(unitary, Element.gen(self.theta, letter, EMPTY_WORD))
+            out = cache[w] = head if w == letter else mul(head, out)
         return out
 
     def apply(self, x: Element) -> Element:
@@ -215,7 +213,10 @@ class Endomorphism:
         return Element._of(self.theta, acc).canonicalize()
 
     def generator_images(self) -> tuple[dict[int, Element], dict[int, Element]]:
-        return dict(self._e_images), dict(self._f_images)
+        """Fresh dicts {i: lam(s_{e_i})} and {j: lam(s_{f_j})}."""
+        theta = self.theta
+        return ({i: self.word_image(Word((i,), ())) for i in range(1, theta.m + 1)},
+                {j: self.word_image(Word((), (j,))) for j in range(1, theta.n + 1)})
 
 
 def endo_from_pair(u: Element, v: Element) -> Endomorphism:

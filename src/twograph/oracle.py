@@ -110,27 +110,26 @@ class GradedActionModel:
         """Whether `product` acts as the composed action (b, then a) on the
         evaluation stratum of all three elements.
 
-        Only the rows that b or the product has are compared: on any other
-        word both actions are zero. The rows of a are built once per degree
-        that b's images reach, on the first image there.
+        The composition is built from a's side: a term s_{u2} s_{v2}* of b
+        maps v2 z' to u2 z', so each row `mid` of a at b's image degree
+        whose head is u2 is a row of the composite at v2 z'. Rows of b that
+        a annihilates are never built, and b's own action is never read.
         """
         a._require_same_theta(b)
         a._require_same_theta(product)
+        theta = self.theta
         degree = self._evaluation_stratum(a, b, product)
-        b_rows = self.action(b, degree)
-        product_rows = self.action(product, degree)
-        a_rows: dict[Degree, dict[Word, dict[Word, ExactScalar]]] = {}
-        for z in b_rows.keys() | product_rows.keys():
-            composed: dict[Word, ExactScalar] = {}
-            for mid, c_mid in b_rows.get(z, {}).items():
-                rows = a_rows.get(mid.degree)
-                if rows is None:
-                    rows = a_rows[mid.degree] = self.action(a, mid.degree)
-                for out, c_out in rows.get(mid, {}).items():
-                    _add_to(composed, out, c_mid * c_out)
-            if product_rows.get(z, {}) != composed:
-                return False
-        return True
+        composed: dict[Word, dict[Word, ExactScalar]] = {}
+        for (u2, v2), c2 in b._terms.items():
+            # the stratum lies above every v-degree, so each term of b acts
+            image_degree = deg_add(u2.degree, deg_sub(degree, v2.degree))
+            for mid, a_row in self.action(a, image_degree).items():
+                head, tail = factor_at(theta, mid, u2.degree)
+                if head == u2:
+                    row = composed.setdefault(concat(theta, v2, tail), {})
+                    for out, c_out in a_row.items():
+                        _add_to(row, out, c2 * c_out)
+        return {z: row for z, row in composed.items() if row} == self.action(product, degree)
 
     def oracle_trace(self, x: Element) -> ExactScalar:
         """Normalized diagonal sum on the square stratum containing x.

@@ -595,8 +595,8 @@ def _gallery_cases(theta, rng, samples, report, gens) -> None:
 
     # each gallery case is one decision: the gallery builds its pair through
     # `UnitaryPair`, and a refusal (NotTwisted with its residual) is the witness
-    def builds(name, **kwargs):
-        en.gallery(theta, name, **kwargs)
+    def builds(name):
+        en.gallery(theta, name)
 
     if is_flip:
         report.run("gallery-ex312", _trials(1, lambda: _ex312_failure(theta, gens)))
@@ -607,9 +607,7 @@ def _gallery_cases(theta, rng, samples, report, gens) -> None:
     if is_identity and theta.m >= 2 and theta.n >= 2:
         report.run("gallery-ex311", _trials(1, lambda: builds("ex311")))
 
-    scalar_i = Element.unit(theta).scaled(ExactScalar.imag_unit())
-    report.run("gallery-ex310-central-scalars",
-               _trials(1, lambda: builds("ex310", u=scalar_i, v=scalar_i)))
+    report.run("gallery-ex310-central-scalars", _trials(1, lambda: builds("ex310")))
 
 
 def _ex312_failure(theta: Permutation2D, gens: list[Element]) -> str | None:

@@ -533,6 +533,22 @@ def test_check_all_records_are_pinned(table, mixed23, mixed33, tmp_path, monkeyp
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_DIGESTS[table]
 
 
+# sha256 of the stdout of `check algebra --theta mixed33.txt --level 3,3
+# --samples 5 --seed 0 --format records`: its product-vs-oracle draws reach
+# the deepest strata that `check` allows on a 3x3 table
+DEEP_ORACLE_DIGEST = "d41eefed194298beaa24e2c5fbf834badbacbea144c80b9b52556c751a0ad025"
+
+
+def test_deep_oracle_records_are_pinned(mixed33, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the table file's path is part of the output
+    (tmp_path / "mixed33.txt").write_text(theta_text(mixed33))
+    code = run_cli("check", "algebra", "--theta", "mixed33.txt", "--level", "3,3",
+                   "--samples", "5", "--seed", "0", "--format", "records")
+    out = capsys.readouterr().out
+    assert code == 0 and out.endswith("result\tPASS\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == DEEP_ORACLE_DIGEST
+
+
 # sha256 of the stdout in `--format text` and in `--format records`, and the
 # exit code, of every command but `check`: the README examples, the pinned
 # multi-term `endo apply`, an `endo apply` on a 200-letter mixed word, a

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from twograph import endo
-from twograph.algebra import Element, gauge, is_unitary, mul
+from twograph.algebra import Element, gauge, is_unitary, mul, permutation_unitary
+from twograph.cli import main
 from twograph.endo import (
     Endomorphism,
     UnitaryPair,
@@ -23,7 +24,15 @@ from twograph.endo import (
     preserves_subalgebra,
     twisted_check,
 )
-from twograph.errors import NotTwisted, NotUnitary, RelationsViolated, WrongTheta
+from twograph.errors import (
+    MalformedInput,
+    NotAPermutation,
+    NotTwisted,
+    NotUnitary,
+    RelationsViolated,
+    ThetaMismatch,
+    WrongTheta,
+)
 from twograph.exprs import parse_expression
 from twograph.sampling import random_element, random_unitary, rng_from_seed
 from twograph.scalar import ExactScalar
@@ -104,6 +113,13 @@ class TestTwistedCheck:
     def test_non_unitary_rejected(self, theta):
         ok, residual = twisted_check(gen(theta, "e1", "e1"), Element.unit(theta))
         assert not ok and residual is None
+
+    def test_a_repeated_operand_is_decided_unitary_once(self, flip22, monkeypatch):
+        u = gen(flip22, "e1", "e2") + gen(flip22, "e2", "e1")
+        calls = []
+        monkeypatch.setattr(endo, "is_unitary", lambda x: calls.append(x) or is_unitary(x))
+        assert twisted_check(u, u) == (True, None)
+        assert calls == [u]
 
     def test_pair_constructor_enforces(self, flip22):
         u = gen(flip22, "e1", "e2") + gen(flip22, "e2", "e1")
@@ -186,6 +202,24 @@ class TestEndomorphism:
             lam = Endomorphism(pair)
             e_imgs, f_imgs = lam.generator_images()
             assert pair_from_generator_map(theta, e_imgs, f_imgs).equals(pair)
+
+    def test_letter_images_are_made_on_first_read(self, theta, monkeypatch):
+        # the pair is the whole datum: construction makes no product, and
+        # each letter image U s_{e_i} or V s_{f_j} is made once, when read
+        pair = canonical_pair(theta, 1, 1)
+        calls = []
+        monkeypatch.setattr(endo, "mul", lambda a, b: calls.append(a) or mul(a, b))
+        lam = Endomorphism(pair)
+        assert calls == []
+        e_imgs, f_imgs = lam.generator_images()
+        assert len(calls) == theta.m + theta.n
+        again = lam.generator_images()
+        assert again == (e_imgs, f_imgs) and again[0] is not e_imgs
+        assert len(calls) == theta.m + theta.n
+        for i, img in e_imgs.items():
+            assert img == mul(pair.U, Element.gen(theta, Word((i,), ()), EMPTY_WORD))
+        for j, img in f_imgs.items():
+            assert img == mul(pair.V, Element.gen(theta, Word((), (j,)), EMPTY_WORD))
 
     def test_generator_map_decides_unitarity_once(self, theta, monkeypatch):
         # its relation check already makes the assembled pair twisted, so
@@ -521,3 +555,56 @@ def test_flip_conjugation_pair_components_coincide(flip22):
         assert shift_e(w) == shift_f(w)
         pair = inner_pair(w)
         assert pair.U == pair.V
+
+
+def _flipflop(theta):
+    return permutation_unitary(theta, (1, 0), [1, 0])
+
+
+def _exit_code(argv):
+    """Run the command line and raise its exit code as SystemExit."""
+    raise SystemExit(main(argv))
+
+
+# each refusal as (call on flip 2x2 and identity 2x3, its error, its text)
+REFUSALS = {
+    "ex39-non-unitary": (
+        lambda flip, other: gallery(flip, "ex39", u=gen(flip, "e1", "e1")),
+        NotUnitary, "supplied element is not unitary"),
+    "ex310-u-and-v-do-not-commute": (
+        lambda flip, other: gallery(flip, "ex310", u=_flipflop(flip),
+                                    v=permutation_unitary(flip, (1, 0), phases=[(1, 0), (-1, 0)])),
+        WrongTheta, "U and V do not commute"),
+    "ex310-v-does-not-commute-with-e1": (
+        lambda flip, other: gallery(flip, "ex310", u=Element.unit(flip), v=_flipflop(flip)),
+        WrongTheta, "V does not commute with the e1 isometry"),
+    "canonical-apply-other-table": (
+        lambda flip, other: canonical_endomorphism_apply(flip, 1, 0, Element.unit(other)),
+        ThetaMismatch, "element lives over a different table"),
+    "endomorphism-apply-other-table": (
+        lambda flip, other: Endomorphism.identity(flip).apply(Element.unit(other)),
+        ThetaMismatch, "element lives over a different table"),
+    "compose-other-table": (
+        lambda flip, other: compose(Endomorphism.identity(flip), Endomorphism.identity(other)),
+        ThetaMismatch, "endomorphisms live over different tables"),
+    "preserves-core-level-0": (
+        lambda flip, other: preserves_subalgebra(Endomorphism.identity(flip), "core", 0),
+        MalformedInput, "level must be >= 1"),
+    "permutation-unitary-phase-count": (
+        lambda flip, other: permutation_unitary(flip, (1, 0), phases=[(1, 0)]),
+        NotAPermutation, "expected 2 phases, got 1"),
+    "cli-negative-canonical-degree": (
+        lambda flip, other: _exit_code(["endo", "apply", "canonical(-1,0)", "I"]),
+        SystemExit, "^2$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_each_refusal_raises_its_error(case, flip22, id23, capsys):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call(flip22, id23)
+    captured = capsys.readouterr()
+    # the command line names its refusal in one `error:` line and nothing else
+    expected = "error: degree must be nonnegative, got (-1, 0)\n" if error is SystemExit else ""
+    assert (captured.out, captured.err) == ("", expected)

@@ -15,7 +15,7 @@ from twograph.sampling import (
     rng_from_seed,
 )
 from twograph.scalar import ExactScalar
-from twograph.semigroup import EMPTY_WORD, enumerate_words, word
+from twograph.semigroup import EMPTY_WORD, Word, enumerate_words, word
 
 
 def gen(theta, u, v):
@@ -118,6 +118,27 @@ class TestOracleEqual:
         a, b = gen(theta, "e1", "id"), gen(theta, "id", "e1")
         assert model.product_agrees(a, b, mul(a, b))
         assert not model.product_agrees(a, b, mul(b, a))
+
+    def test_product_agrees_reads_only_a_and_the_product_on_the_deepest_draw(
+            self, mixed33, monkeypatch):
+        # a = S[w;w], b = S[id;w], d(w) = (3, 3): on the evaluation stratum
+        # (7, 7) b has 6,561 rows, and a acts on 9 of their images; the
+        # composite is built from a's rows, so b's action is never built
+        w = Word((1, 2, 3), (3, 1, 2))
+        a = Element.gen(mixed33, w, w)
+        b = Element.gen(mixed33, EMPTY_WORD, w)
+        product = mul(a, b)
+        model = GradedActionModel(mixed33)
+        acted = []
+        action = GradedActionModel.action
+        monkeypatch.setattr(GradedActionModel, "action",
+                            lambda self, x, degree: acted.append(x) or action(self, x, degree))
+        assert model.product_agrees(a, b, product)
+        assert not model.product_agrees(a, b, product.scaled(2))
+        # an extra term that acts only on rows the composite does not have
+        far = Word((1,) * 6, (1,) * 6)
+        assert not model.product_agrees(a, b, product + Element.gen(mixed33, far, far))
+        assert acted and all(x is not b for x in acted)
 
     def test_oracle_equal_of_product_terms(self, theta):
         model = GradedActionModel(theta)

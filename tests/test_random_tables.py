@@ -32,6 +32,7 @@ from twograph.sampling import (
     random_unitary,
     rng_from_seed,
 )
+from twograph.scalar import ExactScalar
 from twograph.semigroup import enumerate_words, theta_text
 
 from conftest import random_theta
@@ -49,13 +50,31 @@ def test_associativity(theta, seed):
     assert (mul(mul(a, b), c) - mul(a, mul(b, c))).is_zero()
 
 
+def _composed_action_agrees(model, a, b, product):
+    """The word-by-word reference: act(product, z) == act(a, act(b, z)) on
+    every word z of the evaluation stratum."""
+    for z in model.stratum(model._evaluation_stratum(a, b, product)):
+        composed = {}
+        for mid, c_mid in model.act(b, z).items():
+            for out, c_out in model.act(a, mid).items():
+                composed[out] = composed.get(out, ExactScalar.zero()) + c_mid * c_out
+        if model.act(product, z) != {w: c for w, c in composed.items() if not c.is_zero}:
+            return False
+    return True
+
+
 @FEW
 @given(theta=random_theta(), seed=SEEDS)
 def test_product_agrees_with_the_oracle(theta, seed):
+    # for the true product and a planted wrong one, `product_agrees` gives
+    # the verdict of the word-by-word reference
     rng = rng_from_seed(seed)
     model = GradedActionModel(theta)
     a, b = random_element(rng, theta, (1, 1)), random_element(rng, theta, (1, 1))
-    assert model.product_agrees(a, b, mul(a, b))
+    product = mul(a, b)
+    planted = product + random_element(rng, theta, (2, 2), terms=1)
+    assert model.product_agrees(a, b, product) and _composed_action_agrees(model, a, b, product)
+    assert model.product_agrees(a, b, planted) == _composed_action_agrees(model, a, b, planted)
 
 
 def _aligned_by_definition(x: Element) -> bool:
