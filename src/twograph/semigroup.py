@@ -154,6 +154,7 @@ class Permutation2D:
     def __init__(self, m: int, n: int, table: dict[tuple[int, int], tuple[int, int]]):
         if m < 1 or n < 1:
             raise IndexOutOfRange(f"need m, n >= 1, got m={m}, n={n}")
+        _require_table_size(m, n)
         fwd = [-1] * (m * n)
         seen = set()
         for (i, j), (i2, j2) in table.items():
@@ -178,11 +179,13 @@ class Permutation2D:
 
     @classmethod
     def identity(cls, m: int, n: int) -> "Permutation2D":
+        _require_table_size(m, n)
         return cls(m, n, {(i, j): (i, j) for i in range(1, m + 1) for j in range(1, n + 1)})
 
     @classmethod
     def flip(cls, m: int, n: int) -> "Permutation2D":
         """e_i f_j = f_i e_j; only a permutation of m x n when m = n."""
+        _require_table_size(m, n)
         if m != n:
             raise FlipRequiresSquare(f"flip needs m = n, got m={m}, n={n}")
         return cls(m, n, {(i, j): (j, i) for i in range(1, m + 1) for j in range(1, n + 1)})
@@ -224,15 +227,19 @@ MAX_TABLE_PAIRS = 65536
 _MAX_INDEX_DIGITS = len(str(MAX_TABLE_PAIRS))
 
 
+def _require_table_size(m: int, n: int) -> None:
+    if m > 0 and n > 0 and m * n > MAX_TABLE_PAIRS:
+        raise TableTooLarge(f"table {m}x{n} has {m * n} index pairs, capped at "
+                            f"{MAX_TABLE_PAIRS} for cost control")
+
+
 def make_theta(m: int, n: int, spec) -> Permutation2D:
     """Build a validated table from a builtin name or explicit entries.
 
     `spec` is "identity", "flip", or an iterable of ((i, j), (i2, j2)) pairs.
     Tables over MAX_TABLE_PAIRS index pairs are refused before any is built.
     """
-    if m > 0 and n > 0 and m * n > MAX_TABLE_PAIRS:
-        raise TableTooLarge(f"table {m}x{n} has {m * n} index pairs, capped at "
-                            f"{MAX_TABLE_PAIRS} for cost control")
+    _require_table_size(m, n)
     if spec == "identity":
         return Permutation2D.identity(m, n)
     if spec == "flip":

@@ -2,7 +2,7 @@
 
 Each suite returns a `SuiteReport` whose cases carry pass counts and, on
 failure, the first witness (inputs, both sides, residual). Reports are
-fully determined by (theta, seed, level, samples, float_tol).
+fully determined by (theta, seed, level, samples).
 
 Every case is recorded through `SuiteReport.run` from one outcome per
 decision, in order: None when the decision held, else its witness string.
@@ -57,6 +57,9 @@ from .semigroup import (
 )
 
 SUITE_NAMES = ("semigroup", "algebra", "modular", "kms", "endo")
+# a term's float flow and float gauge agree when they differ by less than this;
+# at level 2,2 on the reference tables they differ by less than 1e-15
+FLOAT_TOL = 1e-9
 
 
 @dataclass
@@ -425,7 +428,7 @@ def modular_suite(
 
 
 def kms_suite(
-    theta: Permutation2D, seed: int, level: Degree, samples: int, float_tol: float
+    theta: Permutation2D, seed: int, level: Degree, samples: int
 ) -> SuiteReport:
     rng = smp.rng_from_seed(seed)
     report = SuiteReport("kms")
@@ -447,13 +450,14 @@ def kms_suite(
         # one row {S[u;v]: 1 for every v} per call, built once for all three
         # times; both maps act termwise, so each term is compared exactly as
         # if it were flowed alone
+        tol = FLOAT_TOL
         for u in words:
             row = Element(theta, {GenTerm(u, v): one for v in words})
             for t, torus_point in times:
                 gauged = gauge_float(row, torus_point)
                 for term, value in md.modular_flow(t, row).items():
                     residual = abs(value - gauged[term])
-                    yield (None if residual < float_tol
+                    yield (None if residual < tol
                            else f"t={t} term={term} residual={residual}")
     report.run("flow-equals-gauge-float", flow_vs_gauge())
 
@@ -643,7 +647,6 @@ def run_suite(
     seed: int,
     level: Degree,
     samples: int,
-    float_tol: float,
 ) -> list[SuiteReport]:
     if name == "all":
         names = SUITE_NAMES
@@ -655,6 +658,5 @@ def run_suite(
     for suite_name in names:
         # looked up when called, so a suite wrapped on this module runs wrapped
         suite = globals()[f"{suite_name}_suite"]
-        tol = (float_tol,) if suite_name == "kms" else ()
-        out.append(suite(theta, seed, level, samples, *tol))
+        out.append(suite(theta, seed, level, samples))
     return out

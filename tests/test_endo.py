@@ -36,7 +36,7 @@ from twograph.errors import (
 from twograph.exprs import parse_expression
 from twograph.sampling import random_element, random_unitary, rng_from_seed
 from twograph.scalar import ExactScalar
-from twograph.semigroup import EMPTY_WORD, Word, enumerate_words, word
+from twograph.semigroup import EMPTY_WORD, Word, enumerate_words, make_theta, word
 
 
 def gen(theta, u, v):
@@ -120,6 +120,19 @@ class TestTwistedCheck:
         monkeypatch.setattr(endo, "is_unitary", lambda x: calls.append(x) or is_unitary(x))
         assert twisted_check(u, u) == (True, None)
         assert calls == [u]
+
+    @pytest.mark.parametrize("name, table, count", [
+        ("ex39", "flip", 1), ("ex310", "flip", 1), ("ex311", "identity", 2),
+        ("ex312", "flip", 2), ("ex313", "identity", 2),
+    ])
+    def test_the_gallery_decides_each_operand_unitary_once(self, monkeypatch, name, table, count):
+        # unitarity is decided in `UnitaryPair` alone: once for the repeated
+        # operand of ex39 and the default ex310, once per operand otherwise
+        theta = make_theta(2, 2, table)
+        calls = []
+        monkeypatch.setattr(endo, "is_unitary", lambda x: calls.append(x) or is_unitary(x))
+        gallery(theta, name)
+        assert len(calls) == count
 
     def test_pair_constructor_enforces(self, flip22):
         u = gen(flip22, "e1", "e2") + gen(flip22, "e2", "e1")
@@ -570,7 +583,7 @@ def _exit_code(argv):
 REFUSALS = {
     "ex39-non-unitary": (
         lambda flip, other: gallery(flip, "ex39", u=gen(flip, "e1", "e1")),
-        NotUnitary, "supplied element is not unitary"),
+        NotTwisted, "pair is not twisted"),
     "ex310-u-and-v-do-not-commute": (
         lambda flip, other: gallery(flip, "ex310", u=_flipflop(flip),
                                     v=permutation_unitary(flip, (1, 0), phases=[(1, 0), (-1, 0)])),

@@ -17,6 +17,7 @@ from twograph.errors import (
 )
 from twograph.semigroup import (
     EMPTY_WORD,
+    Permutation2D,
     Word,
     common_extensions,
     concat,
@@ -66,6 +67,22 @@ class TestMakeTheta:
             with pytest.raises(TableTooLarge):
                 make_theta(2, 2, spec)
         assert make_theta(1, 3, "identity").m == 1
+
+    def test_every_constructor_refuses_a_table_over_the_cap(self, monkeypatch):
+        # the builtins and the constructor itself pass the cap of `make_theta`
+        # before they build or read a pair
+        monkeypatch.setattr(semigroup, "MAX_TABLE_PAIRS", 3)
+
+        class Unread(dict):
+            def items(self):
+                raise AssertionError("entries read")
+
+        for build in (Permutation2D.identity, Permutation2D.flip,
+                      lambda m, n: Permutation2D(m, n, Unread())):
+            with pytest.raises(TableTooLarge) as refusal:
+                build(2, 2)
+            assert str(refusal.value) == "table 2x2 has 4 index pairs, capped at 3 for cost control"
+        assert Permutation2D.identity(1, 3).m == 1
 
     def test_duplicate_image_rejected(self):
         with pytest.raises(NotABijection):
