@@ -19,10 +19,10 @@ identity, so comparing the sparse matrix actions of two elements on a high
 enough stratum decides equality of the elements (`oracle_equal`) and
 checks a symbolic product against the composed action of its factors
 (`product_agrees`) — by a code path that never touches the symbolic
-product or canonical form. Only the word-level operations (factor,
-concatenate) are shared with the symbolic side. The rows are built only
-for the words the operands reach, so the one limit is `MAX_WORDS` on a
-stratum of tails that a term walks.
+product or canonical form. Only the public word-level operations
+(enumerate, factor, concatenate) are shared with the symbolic side. The
+rows are built only for the words the operands reach, so the one limit is
+`MAX_WORDS` on a stratum of tails that a term walks.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ from .semigroup import (
     Degree,
     Permutation2D,
     Word,
-    _words,
     concat,
     deg_add,
     deg_join,
     deg_le,
     deg_sub,
+    enumerate_words,
     factor_at,
 )
 
@@ -50,10 +50,6 @@ class GradedActionModel:
 
     def __init__(self, theta: Permutation2D):
         self.theta = theta
-
-    def stratum(self, degree: Degree) -> tuple[Word, ...]:
-        """The words of `degree`, from the table's strata memo."""
-        return _words(self.theta, degree)
 
     def act_term(self, t: GenTerm, z: Word) -> Word | None:
         """Image of the basis word z under s_u s_v*, or None if annihilated."""
@@ -85,7 +81,7 @@ class GradedActionModel:
             u, v = t
             if not deg_le(v.degree, degree):
                 continue
-            for tail in self.stratum(deg_sub(degree, v.degree)):
+            for tail in enumerate_words(self.theta, deg_sub(degree, v.degree)):
                 z = concat(self.theta, v, tail)
                 row = rows.get(z)
                 if row is None:

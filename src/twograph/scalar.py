@@ -101,13 +101,12 @@ def _fractions(coeff: Coeff) -> Gaussian:
 
 def _canon_terms(raw: Iterable[tuple[dict[int, Fraction], Coeff]]) -> dict[Monomial, Coeff]:
     """Fold integer exponent parts into coefficients, merge monomials and
-    reduce each surviving coefficient once. The raw triples need not be
-    reduced; a merge that cancels deletes the monomial, so the dict keeps
-    the order in which monomials first survive (`to_complex` sums in it)."""
+    reduce each surviving coefficient once. The raw triples are nonzero but
+    need not be reduced; a merge that cancels deletes the monomial, so the
+    dict keeps the order in which monomials first survive (`to_complex` sums
+    in it)."""
     acc: dict[Monomial, Coeff] = {}
     for exps, (re, im, den) in raw:
-        if not (re or im):
-            continue
         mono_items = []
         for p, r in sorted(exps.items()):
             whole = r.numerator // r.denominator  # floor
@@ -190,8 +189,6 @@ class ExactScalar:
     @classmethod
     def _from_raw(cls, raw) -> "ExactScalar":
         terms = _canon_terms(raw)
-        if not terms:
-            return _ZERO_SCALAR
         if terms == _ONE_TERMS:
             return _ONE_SCALAR
         return cls(terms)

@@ -141,8 +141,8 @@ class Permutation2D:
     A table also owns two word memos, each bounded by `_CACHE_ENTRIES`:
     `_prefixes`, (word, meet degree) -> the prefix `prefix_at` computes,
     holding at most that many entries; and `_strata`, degree -> the tuple of
-    its words that `enumerate_words` and `words_up_to` read, holding at most
-    that many words in all (`_strata_words`). By unique factorization a
+    its words that `enumerate_words` returns, holding at most that many
+    words in all (`_strata_words`). By unique factorization a
     prefix depends on nothing else, and a stratum of degree (a, b) is the
     m^a * n^b block pairs. Every table starts with empty memos, so an equal
     table built again (as each CLI invocation does) starts cold.
@@ -354,11 +354,16 @@ def clipped_count(theta: Permutation2D, delta: Degree, cap: int) -> int:
     return theta.m ** min(a, clip) * theta.n ** min(b, clip)
 
 
-def _words(theta: Permutation2D, delta: Degree) -> tuple[Word, ...]:
-    """The stratum of degree delta from the table's memo, or built and stored
-    there while the memo stays within `_CACHE_ENTRIES` words. Refuses a
+def enumerate_words(theta: Permutation2D, delta: Degree) -> tuple[Word, ...]:
+    """All m^a * n^b canonical words of degree delta, lexicographically.
+
+    Every pair of blocks is a distinct canonical word, so no rewriting is
+    needed here. The stratum comes from the table's memo, or is built and
+    stored there while the memo stays within `_CACHE_ENTRIES` words; a
+    stored stratum is the same immutable tuple on every call. Refuses a
     negative degree, and more than MAX_WORDS words before any is looked up
-    or built."""
+    or built.
+    """
     a, b = delta
     if a < 0 or b < 0:
         raise DegreeTooLarge(f"degree must be nonnegative, got {delta}")
@@ -375,22 +380,12 @@ def _words(theta: Permutation2D, delta: Degree) -> tuple[Word, ...]:
     return stratum
 
 
-def enumerate_words(theta: Permutation2D, delta: Degree) -> list[Word]:
-    """All m^a * n^b canonical words of degree delta, lexicographically, in a
-    new list.
-
-    Every pair of blocks is a distinct canonical word, so no rewriting is
-    needed here.
-    """
-    return list(_words(theta, delta))
-
-
 def words_up_to(theta: Permutation2D, bound: Degree) -> list[Word]:
     """All canonical words of degree <= bound componentwise."""
     out = []
     for a in range(bound[0] + 1):
         for b in range(bound[1] + 1):
-            out.extend(_words(theta, (a, b)))
+            out.extend(enumerate_words(theta, (a, b)))
     return out
 
 

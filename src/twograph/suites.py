@@ -217,13 +217,12 @@ def semigroup_suite(
             yield None if hits == 1 else f"w={w} delta=({a},{b}) has {hits} splits"
     report.run("factor-uniqueness", unique_splits())
 
-    by_degree: dict[Degree, list[Word]] = {}
-    for w in words:
-        by_degree.setdefault(w.degree, []).append(w)
+    strata = [enumerate_words(theta, (a, b))
+              for a in range(level[0] + 1) for b in range(level[1] + 1)]
     report.run("cancellativity", (
         None if len({concat(theta, w, a) for a in group}) == len(group)
         else f"left factor {w} collapses degree class"
-        for w in words for group in by_degree.values()
+        for w in words for group in strata
     ))
 
     def extensions():

@@ -173,7 +173,7 @@ def test_c03_product_and_state_against_oracle(theta):
         b = Element(theta, {t2: ExactScalar.one()})
         product = mul(a, b)
         stratum = model._evaluation_stratum(a, b, product)
-        for z in model.stratum(stratum):
+        for z in enumerate_words(theta, stratum):
             composed = {}
             for mid, c1 in model.act(b, z).items():
                 for out, c2 in model.act(a, mid).items():

@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, exit codes, formats, determinism."""
 
 import hashlib
+import os
+import runpy
 import subprocess
 import sys
 
@@ -32,6 +34,13 @@ class TestComputeCommands:
                             "--theta", "flip", "--m", "2", "--n", "2")
         assert code == 0
         assert "S[e1;f1] + S[e2;f2]" in out
+
+    def test_a_product_that_vanishes_prints_zero(self, capsys):
+        # s_{e1}* s_{e2} = 0: the two words have no common extension
+        assert capture(capsys, "mul", "S[id;e1]", "S[e2;id]") == (0, "result: 0\n")
+
+    def test_an_expression_with_trailing_whitespace_parses(self, capsys):
+        assert capture(capsys, "mul", "S[id;e1] ", "S[e1;id]\t ") == (0, "result: S[id;id]\n")
 
     def test_mul_of_far_apart_degrees(self, capsys):
         # s_v* s_u for v = e1^20 and u = f1^20: one common extension among
@@ -405,6 +414,22 @@ def test_closed_stdout_exits_2_without_traceback():
     assert proc.wait(timeout=60) == 2
     assert "Traceback" not in stderr
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+def test_python_m_cli_reports_a_closed_stdout_in_one_line(monkeypatch, capsys):
+    # the reader of the pipe is gone before the first block of the 6,562
+    # spectrum lines is flushed; `python -m twograph.cli` runs `main` as
+    # __main__ in this process
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        monkeypatch.setattr(sys, "argv", ["twograph", "spectrum", "40", "--m", "2", "--n", "3"])
+        monkeypatch.delitem(sys.modules, "twograph.cli")
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("twograph.cli", run_name="__main__")
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == "error: stdout was closed before all output was written\n"
 
 
 class TestUsageErrors:

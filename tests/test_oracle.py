@@ -15,7 +15,14 @@ from twograph.sampling import (
     rng_from_seed,
 )
 from twograph.scalar import ExactScalar
-from twograph.semigroup import EMPTY_WORD, Word, enumerate_words, word
+from twograph.semigroup import (
+    EMPTY_WORD,
+    Word,
+    enumerate_words,
+    parse_theta_text,
+    theta_text,
+    word,
+)
 
 
 def gen(theta, u, v):
@@ -24,10 +31,16 @@ def gen(theta, u, v):
 
 class TestStratum:
     def test_the_table_strata_and_their_refusals(self, theta):
+        # the unit walks every word of a stratum as a tail, read from the
+        # table's memo and refused by the table's cap
+        theta = parse_theta_text(theta_text(theta))
         model = GradedActionModel(theta)
-        assert list(model.stratum((1, 2))) == enumerate_words(theta, (1, 2))
+        one = Element.unit(theta)
+        rows = model.action(one, (1, 2))
+        assert tuple(rows) == enumerate_words(theta, (1, 2)) == theta._strata[(1, 2)]
+        assert all(row == {z: ExactScalar.one()} for z, row in rows.items())
         with pytest.raises(DegreeTooLarge):
-            model.stratum((-1, 0))
+            model.action(one, (30, 30))
 
 
 class TestActTerm:
@@ -101,7 +114,7 @@ class TestOracleEqual:
             b = Element(theta, {t2: ExactScalar.one()})
             product = mul(a, b)
             stratum = model._evaluation_stratum(a, b, product)
-            for z in model.stratum(stratum):
+            for z in enumerate_words(theta, stratum):
                 composed = {}
                 for mid, c1 in model.act(b, z).items():
                     for out, c2 in model.act(a, mid).items():

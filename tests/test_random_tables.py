@@ -53,7 +53,7 @@ def test_associativity(theta, seed):
 def _composed_action_agrees(model, a, b, product):
     """The word-by-word reference: act(product, z) == act(a, act(b, z)) on
     every word z of the evaluation stratum."""
-    for z in model.stratum(model._evaluation_stratum(a, b, product)):
+    for z in enumerate_words(model.theta, model._evaluation_stratum(a, b, product)):
         composed = {}
         for mid, c_mid in model.act(b, z).items():
             for out, c_out in model.act(a, mid).items():

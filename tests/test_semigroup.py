@@ -259,7 +259,7 @@ class TestEnumerate:
         assert [str(w) for w in words] == ["e1.f1", "e1.f2", "e2.f1", "e2.f2"]
 
     def test_zero_degree(self, theta):
-        assert enumerate_words(theta, (0, 0)) == [EMPTY_WORD]
+        assert enumerate_words(theta, (0, 0)) == (EMPTY_WORD,)
 
     def test_count_formula(self, id23):
         assert len(enumerate_words(id23, (1, 2))) == 2 * 9
@@ -290,21 +290,19 @@ class TestEnumerate:
 def direct_words(theta, delta):
     """A stratum straight from `itertools.product`, with no memo."""
     a, b = delta
-    return [Word(e, f) for e in product(range(1, theta.m + 1), repeat=a)
-            for f in product(range(1, theta.n + 1), repeat=b)]
+    return tuple(Word(e, f) for e in product(range(1, theta.m + 1), repeat=a)
+                 for f in product(range(1, theta.n + 1), repeat=b))
 
 
 class TestStrataMemo:
-    """Each table keeps the strata it enumerated; callers get fresh lists."""
+    """Each table keeps the strata it enumerated and hands out the stored
+    tuples themselves, which no caller can change."""
 
-    def test_each_call_returns_a_new_list(self):
+    def test_a_stored_stratum_is_the_same_tuple_on_every_call(self):
         theta = make_theta(2, 3, "identity")
         first = enumerate_words(theta, (1, 2))
-        second = enumerate_words(theta, (1, 2))
-        assert first == second and first is not second
-        first.clear()
-        second.reverse()
-        assert enumerate_words(theta, (1, 2)) == direct_words(theta, (1, 2))
+        assert type(first) is tuple and first == direct_words(theta, (1, 2))
+        assert enumerate_words(theta, (1, 2)) is first is theta._strata[(1, 2)]
 
     @pytest.mark.parametrize("name", ["flip22", "mixed23"])
     def test_memoized_strata_equal_a_direct_enumeration(self, name, request):
@@ -312,7 +310,7 @@ class TestStrataMemo:
         direct = [w for a in range(3) for b in range(3) for w in direct_words(theta, (a, b))]
         assert words_up_to(theta, (2, 2)) == direct
         assert words_up_to(theta, (2, 2)) == direct
-        assert all(enumerate_words(theta, degree) == list(stratum)
+        assert all(enumerate_words(theta, degree) is stratum
                    for degree, stratum in theta._strata.items())
 
     def test_an_equal_table_starts_empty(self):

@@ -26,6 +26,16 @@ def test_every_import_is_relative_or_stdlib():
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
+def test_the_oracle_imports_no_private_name():
+    # the oracle shares only public word operations with the symbolic side,
+    # so no private helper can carry one defect into both
+    tree = ast.parse((PACKAGE_DIR / "oracle.py").read_text())
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
 def test_import_and_check_all_load_no_numpy():
     script = textwrap.dedent("""
         import contextlib, io, sys

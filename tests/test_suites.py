@@ -12,6 +12,7 @@ from twograph.cli import main
 from twograph.endo import gallery
 from twograph.errors import DegreeTooLarge
 from twograph.oracle import GradedActionModel
+from twograph.scalar import ExactScalar
 from twograph.semigroup import EMPTY_WORD, Word, theta_text, word
 from twograph.suites import SUITE_NAMES, kms_suite, run_suite
 
@@ -288,6 +289,200 @@ def test_a_defect_that_raises_fails_its_case(defect, mixed23, tmp_path, monkeypa
     assert [key for key in broken if key.startswith("case.")] == [
         key for key in cases if key in broken or key not in NEED_CANONICAL_PAIRS
     ]
+
+
+# --- every case can fail: one planted defect per failure witness -----------
+
+_WORD_CONCAT, _COMMON_EXT = semigroup.concat, kernel.common_ext
+_RAISE_LEVEL, _DEGREE_COMPONENT = algebra.raise_level, algebra.degree_component
+_POWER_OF_BASE, _INNER_PAIR = scalar.power_of_base, endo.inner_pair
+_ENDOMORPHISM_INIT = endo.Endomorphism.__init__
+_E1, _E2 = Word((1,), ()), Word((2,), ())
+
+
+def _concat_taking_e2_for_e1(theta, w1, w2):
+    return _WORD_CONCAT(theta, w1, _E1 if w2 == _E2 else w2)
+
+
+def _common_ext_dropping_the_last(tables, eu, fu, ev, fv):
+    return _COMMON_EXT(tables, eu, fu, ev, fv)[:-1]
+
+
+def _common_ext_with_no_f_word_over_an_e_word(tables, eu, fu, ev, fv):
+    # s_v* s_u with u all e-letters and v all f-letters comes out zero
+    return () if eu and not fu and fv and not ev else _COMMON_EXT(tables, eu, fu, ev, fv)
+
+
+def _raise_level_dropping_a_word(theta, t, delta):
+    terms = dict(_RAISE_LEVEL(theta, t, delta)._terms)
+    terms.popitem()
+    return Element._of(theta, terms)
+
+
+def _degree_component_without_the_diagonal(a, delta):
+    return Element(a.theta, {t: c for t, c in _DEGREE_COMPONENT(a, delta)._terms.items()
+                             if t.u != t.v})
+
+
+def _omega_of_every_balanced_term(a):
+    # counts s_u s_v* whenever d(u) = d(v), not only when u = v
+    total = ExactScalar.zero()
+    for t, c in a._terms.items():
+        if t.degree == (0, 0):
+            total = total + c * scalar.power_of_base(a.theta, t.u.degree, -1)
+    return total
+
+
+def _omega_of_the_unit_term(a):
+    return a._terms.get(GenTerm(EMPTY_WORD, EMPTY_WORD), ExactScalar.zero())
+
+
+def _gauge_by_the_degree_of_u(a, t):
+    # scales s_u s_v* by t^d(u) in place of t^(d(u) - d(v))
+    g1, g2 = t
+    return Element._of(a.theta, {term: c * g1 ** len(term.u.e_block) * g2 ** len(term.u.f_block)
+                                 for term, c in a._terms.items()})
+
+
+def _power_of_base_of_the_absolute_degree(theta, delta, z):
+    return _POWER_OF_BASE(theta, (abs(delta[0]), abs(delta[1])), z)
+
+
+def _apply_without_the_adjoint(self, x):
+    # lam(s_u s_v*) read as lam(s_u) lam(s_v)
+    out = Element.zero(self.theta)
+    for t, c in x._terms.items():
+        out = out + algebra.mul(self.word_image(t.u), self.word_image(t.v)).scaled(c)
+    return out
+
+
+def _compose_multiplying_in_reverse(outer, inner):
+    # U2 outer(U1) in place of outer(U1) U2
+    return endo.UnitaryPair._trusted(algebra.mul(outer.pair.U, outer.apply(inner.pair.U)),
+                                     algebra.mul(outer.pair.V, outer.apply(inner.pair.V)))
+
+
+def _inner_pair_shifting_f_for_both(w):
+    pair = _INNER_PAIR(w)
+    return endo.UnitaryPair._trusted(pair.V, pair.V)
+
+
+def _is_zero_without_the_canonical_form(self):
+    return self.is_empty
+
+
+def _endomorphism_reading_swapped_unitaries(self, pair):
+    # U acts on the f-letters and V on the e-letters
+    _ENDOMORPHISM_INIT(self, endo.UnitaryPair._trusted(pair.V, pair.U))
+
+
+# (suite, case, table, level, samples, [(owner, name, defect)], the case's
+# witness): each row reaches one failure witness of its case, on the smallest
+# table, level and sample count found to show it. The defect is planted in
+# package code, on a class or in every twograph module that binds the name.
+PLANTED = {
+    "cancellativity": (
+        "semigroup", "cancellativity", (2, 2, "flip"), (1, 0), 1,
+        [(semigroup, "concat", _concat_taking_e2_for_e1)],
+        r"left factor id collapses degree class"),
+    "common-extensions-vs-brute": (
+        "semigroup", "common-extensions-vs-brute", (1, 1, "identity"), (0, 0), 1,
+        [(kernel, "common_ext", _common_ext_dropping_the_last)],
+        r"u=id v=id: 0 vs 1 pairs"),
+    "defect-free-raising": (
+        "algebra", "defect-free-raising", (1, 1, "identity"), (0, 0), 1,
+        [(algebra, "raise_level", _raise_level_dropping_a_word)],
+        r"t=S\[id;id\] delta=\(\d, \d\)"),
+    "core-expectation-bimodule": (
+        "algebra", "core-expectation-bimodule", (2, 2, "flip"), (0, 0), 2,
+        [(algebra, "degree_component", _degree_component_without_the_diagonal)],
+        r"A=.* X=.* B=.*"),
+    "compression-trace-identity": (
+        "modular", "compression-trace-identity", (2, 2, "flip"), (1, 0), 1,
+        [(modular, "omega", _omega_of_every_balanced_term)],
+        r"u=e\d v=e\d X=.*: .* vs 0"),
+    "trace-commutativity-on-core": (
+        "modular", "trace-commutativity-on-core", (2, 2, "flip"), (0, 0), 1,
+        [(modular, "omega", _omega_of_every_balanced_term)],
+        r"X=.* Y=.*"),
+    "state-gauge-invariance": (
+        "modular", "state-gauge-invariance", (1, 1, "identity"), (1, 0), 1,
+        [(algebra, "gauge", _gauge_by_the_degree_of_u)],
+        r"A=.* t=\(.*\)"),
+    "modular-powers-multiplicative": (
+        "modular", "modular-powers-multiplicative", (2, 2, "flip"), (1, 0), 2,
+        [(scalar, "power_of_base", _power_of_base_of_the_absolute_degree)],
+        r"A=.* B=.*"),
+    "state-faithfulness-spot": (
+        "modular", "state-faithfulness-spot", (1, 1, "identity"), (1, 0), 2,
+        [(modular, "omega", _omega_of_the_unit_term)],
+        r"A=.*"),
+    "canonical-intertwining": (
+        "endo", "canonical-intertwining", (1, 1, "identity"), (1, 0), 1,
+        [(endo.Endomorphism, "apply", _apply_without_the_adjoint)],
+        r"\(p,q\)=\(1,0\) X=.* w=e1"),
+    "shift-composition": (
+        "endo", "shift-composition", (2, 2, "flip"), (0, 0), 1,
+        [(endo, "compose", _compose_multiplying_in_reverse)],
+        r"shift composition mismatch"),
+    "inner-pairs-give-conjugation": (
+        "endo", "inner-pairs-give-conjugation", (2, 2, "identity"), (0, 0), 4,
+        [(endo, "inner_pair", _inner_pair_shifting_f_for_both)],
+        r"W=.*"),
+    "pair-product-associative": (
+        "endo", "pair-product-associative", (2, 2, "flip"), (0, 0), 1,
+        [(endo, "compose", _compose_multiplying_in_reverse)],
+        r"associativity of the pair product"),
+    "gauge-conjugation-of-pairs": (
+        "endo", "gauge-conjugation-of-pairs", (1, 1, "identity"), (0, 0), 1,
+        [(algebra, "gauge", _gauge_by_the_degree_of_u)],
+        r"W=.* t=\(.*\)"),
+    "pair-UU-commutant-criterion-flip": (
+        "endo", "pair-UU-commutant-criterion", (2, 2, "flip"), (0, 0), 10,
+        [(Element, "is_zero", _is_zero_without_the_canonical_form)],
+        r"U=.*: flip table must make \(U,U\) twisted"),
+    "gallery-ex312-involution": (
+        "endo", "gallery-ex312", (1, 1, "identity"), (0, 0), 1,
+        [(endo.Endomorphism, "__init__", _endomorphism_reading_swapped_unitaries)],
+        r"involution at S\[e1;id\]"),
+    "gallery-ex312-mixing": (
+        "endo", "gallery-ex312", (1, 1, "identity"), (0, 0), 1,
+        [(kernel, "common_ext", _common_ext_with_no_f_word_over_an_e_word)],
+        r"mixing relation at \(i,j\)=\(1,1\)"),
+}
+
+
+def _plant(monkeypatch, owner, name, defect):
+    """`defect` in place of `owner.name`: on a class the attribute itself, on
+    a module every twograph module that binds the same function."""
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, defect)
+        return
+    original = getattr(owner, name)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("twograph") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, defect)
+
+
+@pytest.mark.parametrize("row", sorted(PLANTED))
+def test_a_planted_defect_fails_its_case(row, monkeypatch, cold_extension_cache):
+    suite, case_id, (m, n, kind), level, samples, patches, witness = PLANTED[row]
+
+    def case():
+        # a fresh table and a cold cache keep each run's words to itself
+        (report,) = run_suite(suite, semigroup.make_theta(m, n, kind), seed=0, level=level,
+                              samples=samples)
+        semigroup._common_extensions_cached.cache_clear()
+        (found,) = [c for c in report.cases if c.case_id == case_id]
+        return found
+
+    correct = case()
+    assert correct.passed and re.fullmatch(r"(\d+)/\1 exact", correct.detail)
+    for owner, name, defect in patches:
+        _plant(monkeypatch, owner, name, defect)
+    broken = case()
+    assert not broken.passed
+    assert re.fullmatch(rf"\d+/\d+ exact; first witness: {witness}", broken.detail), broken.detail
 
 
 @pytest.mark.parametrize("error", [DegreeTooLarge])
