@@ -301,7 +301,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         # the reader closed stdout: point it at devnull so the exit flush cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         print("error: stdout was closed before all output was written", file=sys.stderr)
         return 2
 

@@ -3,10 +3,11 @@
 Letters are signed ints: e_i is +i, f_j is -j (1-based). A commutation
 table is prepared once into a handle; all functions here are pure and
 operate on plain int tuples. `factor` splits a word by rewriting only the
-letters that cross the cut, and `common_ext` decides a pair of
-comparable degrees with one factorization and a pair of incomparable
-degrees by comparing the two words at their meet, then walking the
-extension letter by letter and pruning every branch that leaves u.
+letters that cross the cut. `common_ext` decides a pair of comparable
+degrees on the verbatim e-prefix, then letter by letter as the f-letters
+cross the cut, and stops at the first letter that differs. A pair of
+incomparable degrees is compared the same way at the meet, then the walk
+extends it letter by letter and prunes every branch that leaves u.
 
 Encoding of the table: the handle is (m, n, fwd, inv), two pair tables
 indexed by letter (row and column 0 unused) that share one tuple per index
@@ -83,24 +84,47 @@ def factor(tables, es, fs, p, q):
     return es[:p], f1, e2, fs[q:]
 
 
+def _pulls_to(fwd, es, fs, want):
+    """Pull the f-letters fs one at a time across the e-letters es, a list
+    rewritten in place, as `to_f_first` does; False at the first letter
+    that comes out different from the letter of `want` at its place."""
+    for t, cur in enumerate(fs):
+        for k in range(len(es) - 1, -1, -1):
+            es[k], cur = fwd[es[k]][cur]
+        if cur != want[t]:
+            return False
+    return True
+
+
 def common_ext(tables, eu, fu, ev, fv):
     """All (w1, w2) with v*w1 == u*w2 at the join degree of u and v.
 
     Returned as tuples (w1e, w1f, w2e, w2f) in lexicographic order of w1.
     If d(v) <= d(u), unique factorization leaves at most one pair: w2 is
-    empty and v*w1 == u exactly when u splits at d(v) into (v, w1). One
-    `factor` of u decides it, and symmetrically one of v if d(u) <= d(v).
-    Incomparable degrees are decided by `_walk_from_meet`, with u and v
-    swapped when v is the longer of the two in f.
+    empty and v*w1 == u exactly when u splits at d(v) into (v, w1). The
+    split is decided on the verbatim e-prefix, then letter by letter: the
+    f-letters v's degree takes from u are pulled across the cut one at a
+    time, and the first that differs from v's rules the pair out.
+    Symmetrically if d(u) <= d(v). Incomparable degrees are decided by
+    `_walk_from_meet`, with u and v swapped when v is the longer of the two
+    in f.
     """
     au, bu = len(eu), len(fu)
     av, bv = len(ev), len(fv)
     if av <= au and bv <= bu:
-        pe, pf, re_, rf = factor(tables, eu, fu, av, bv)
-        return [(re_, rf, (), ())] if pe == ev and pf == fv else []
+        if eu[:av] != ev:
+            return []
+        es = list(eu[av:])
+        if not _pulls_to(tables[2], es, fu[:bv], fv):
+            return []
+        return [(tuple(es), fu[bv:], (), ())]
     if au <= av and bu <= bv:
-        pe, pf, re_, rf = factor(tables, ev, fv, au, bu)
-        return [((), (), re_, rf)] if pe == eu and pf == fu else []
+        if ev[:au] != eu:
+            return []
+        es = list(ev[au:])
+        if not _pulls_to(tables[2], es, fv[:bu], fu):
+            return []
+        return [((), (), tuple(es), fv[bu:])]
     if av > au:
         return _walk_from_meet(tables, eu, fu, ev, fv)
     return sorted((h, (), (), g) for _, g, h, _ in _walk_from_meet(tables, ev, fv, eu, fu))
@@ -110,32 +134,43 @@ def _walk_from_meet(tables, eu, fu, ev, fv):
     """`common_ext` when d(v) exceeds d(u) in e and falls short of it in f.
 
     At the meet (|eu|, |fv|) u is x.u' and v is x.v' for one prefix x, or
-    there is no extension; u' is a pure f-word and v' a pure e-word. Every
-    extension is w1 = g, a pure f-word, and w2 = h, a pure e-word, with
-    v'.g == u'.h. The walk pushes each candidate letter of g through the
-    e-letters its branch has left, rewriting a copy of them in place, keeps
-    the branch only while the letter that comes out continues u', and reads
-    h off each leaf. Branches leave the stack in increasing order of their
-    letter, depth first, so g comes out sorted.
+    there is no extension; u' is a pure f-word and v' a pure e-word. The
+    e-part of x is verbatim in v and is compared first; its f-part is
+    pulled out of v letter by letter and compared as each letter comes
+    out. Every extension is w1 = g, a pure f-word, and w2 = h, a pure
+    e-word, with v'.g == u'.h. The walk pushes each candidate letter of g
+    through the e-letters its branch has left, reads only the letter that
+    comes out, and rewrites a copy of the branch's e-letters only when that
+    letter continues u'; h is read off each leaf. Branches leave the stack
+    in increasing order of their letter, depth first, so g comes out
+    sorted.
     """
     n, fwd = tables[1], tables[2]
     au, bv = len(eu), len(fv)
-    xf, rest = to_f_first(tables, ev[au:], fv)
-    if ev[:au] != eu or xf != fu[:bv]:
+    if ev[:au] != eu:
+        return []
+    rest = list(ev[au:])
+    if not _pulls_to(fwd, rest, fv, fu):
         return []
     want = fu[bv:]
     out = []
-    stack = [((), rest)]
+    # each branch keeps its e-letters last first, the order a letter meets them
+    stack = [((), rest[::-1])]
     while stack:
-        g, es = stack.pop()
+        g, back = stack.pop()
         if len(g) == len(want):
-            out.append(((), g, es, ()))
+            out.append(((), g, tuple(back[::-1]), ()))
             continue
         target = want[len(g)]
         for j in range(n, 0, -1):
-            pushed, cur = list(es), j
-            for k in range(len(es) - 1, -1, -1):
-                pushed[k], cur = fwd[pushed[k]][cur]
+            cur = j
+            for i in back:
+                cur = fwd[i][cur][1]
             if cur == target:
-                stack.append((g + (j,), tuple(pushed)))
+                pushed = []
+                cur = j
+                for i in back:
+                    i, cur = fwd[i][cur]
+                    pushed.append(i)
+                stack.append((g + (j,), pushed))
     return out

@@ -394,7 +394,7 @@ def _common_extensions_cached(theta: Permutation2D, u: Word, v: Word):
     raw = kernel.common_ext(
         theta._handle, u.e_block, u.f_block, v.e_block, v.f_block
     )
-    return tuple((_word((w1e, w1f)), _word((w2e, w2f))) for w1e, w1f, w2e, w2f in raw)
+    return tuple([(_word((w1e, w1f)), _word((w2e, w2f))) for w1e, w1f, w2e, w2f in raw])
 
 
 def common_extensions(theta: Permutation2D, u: Word, v: Word) -> list[tuple[Word, Word]]:

@@ -432,6 +432,21 @@ def test_python_m_cli_reports_a_closed_stdout_in_one_line(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: stdout was closed before all output was written\n"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count")
+def test_a_closed_stdout_leaves_no_descriptor_open(monkeypatch, capsys):
+    # each report of a closed stdout points it at devnull, and must close
+    # the descriptor it opened for that
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "w") as closed:
+            monkeypatch.setattr(sys, "stdout", closed)
+            assert main(["spectrum", "40", "--m", "2", "--n", "3"]) == 2
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr().err.count("error: stdout was closed") == 5
+
+
 class TestUsageErrors:
     """Malformed arguments exit 2 with a one-line message, not a traceback."""
 

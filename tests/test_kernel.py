@@ -257,6 +257,56 @@ def test_common_ext_walk_branches_in_lexicographic_order():
     assert kernel.common_ext(tables, *v, *u) == mirrored == brute_force_common_ext(tables, *v, *u)
 
 
+# u and v with e-prefixes that differ, one pair per branch of `common_ext`
+# (the walk in both orientations): the verbatim e-letters refuse each
+PREFIX_MISMATCHES = {
+    "v-below-u": (((1, 2, 3), (1, 2)), ((2,), (1,))),
+    "u-below-v": (((2,), (1,)), ((1, 2, 3), (1, 2))),
+    "incomparable": (((1,), (1, 2, 3)), ((2, 3), (1,))),
+    "incomparable-mirrored": (((2, 3), (1,)), ((1,), (1, 2, 3))),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(PREFIX_MISMATCHES))
+def test_common_ext_refuses_differing_e_prefixes_with_no_table_read(branch):
+    plain, counting = counting_handle(3, 3, 11)
+    u, v = PREFIX_MISMATCHES[branch]
+    got = kernel.common_ext(counting, *u, *v)
+    assert (counting[2].reads, counting[3].reads) == (0, 0)
+    assert got == kernel.common_ext(plain, *u, *v) == []
+
+
+@pytest.mark.parametrize("branch", ["v-below-u", "u-below-v", "incomparable"])
+def test_common_ext_stops_at_the_first_pulled_letter_that_differs(branch):
+    # the longer word's e-letters past the cut and the f-letters the cut
+    # takes from it; the other word shares the e-prefix and differs from the
+    # first pulled letter, so one letter crosses the e-letters and no more
+    plain, counting = counting_handle(3, 3, 12)
+    prefix, behind, taken = (1, 2), (3, 1, 2), (2, 3, 1)
+    first = kernel.to_f_first(plain, behind, taken)[0][0]
+    wrong = (first % 3 + 1, 1)
+    if branch == "incomparable":
+        u, v = (prefix, wrong + (3,)), (prefix + behind, taken[:2])
+    else:
+        u, v = (prefix + behind, taken), (prefix, wrong)
+        if branch == "u-below-v":
+            u, v = v, u
+    got = kernel.common_ext(counting, *u, *v)
+    assert (counting[2].reads, counting[3].reads) == (len(behind), 0)
+    assert got == kernel.common_ext(plain, *u, *v) == []
+
+
+def test_common_ext_of_a_prefix_crosses_as_factor_does():
+    # when v is a prefix of u the extension costs the reads of one `factor`
+    plain, counting = counting_handle(3, 3, 12)
+    u = ((1, 2, 3, 1, 2), (2, 3, 1))
+    v = kernel.factor(plain, *u, 2, 2)[:2]
+    got = kernel.common_ext(counting, *u, *v)
+    assert (counting[2].reads, counting[3].reads) == (3 * 2, 0)
+    rest = kernel.factor(plain, *u, 2, 2)[2:]
+    assert got == kernel.common_ext(plain, *u, *v) == [(*rest, (), ())]
+
+
 def test_selected_backend_exposed():
     import twograph
 

@@ -223,6 +223,12 @@ def _factor_reversing_f1(tables, es, fs, p, q):
     return e1, f1[::-1], e2, f2
 
 
+def _pulls_to_reversing_f1(fwd, es, fs, want):
+    # the f-letters that `common_ext` pulls across a cut come out reversed
+    f1, es[:] = kernel.to_f_first((None, None, fwd, None), es, fs)
+    return f1[::-1] == want[:len(f1)]
+
+
 def _concat_reading_the_forward_table(tables, e1, f1, e2, f2):
     m, n, fwd, _ = tables
     return _CONCAT((m, n, fwd, fwd), e1, f1, e2, f2)
@@ -238,7 +244,7 @@ DEFECTS = {
     "mul": ("flip22", [(module, "mul", _mul_dropping_a_term)
                        for module in (algebra, endo, modular, suites)],
             "pair-endo-round-trip", "conjugation requires a unitary"),
-    "factor": ("id23", [(kernel, "factor", _factor_reversing_f1)],
+    "factor": ("id23", [(kernel, "_pulls_to", _pulls_to_reversing_f1)],
                "pair-endo-round-trip", "images do not assemble into unitaries"),
     "concat": ("mixed23", [(kernel, "concat", _concat_reading_the_forward_table)],
                "pair-endo-round-trip", "images of e1 f1 and f3 e2 disagree"),
@@ -293,7 +299,7 @@ def test_a_defect_that_raises_fails_its_case(defect, mixed23, tmp_path, monkeypa
 
 # --- every case can fail: one planted defect per failure witness -----------
 
-_WORD_CONCAT, _COMMON_EXT = semigroup.concat, kernel.common_ext
+_WORD_CONCAT, _COMMON_EXT, _NORMALIZE = semigroup.concat, kernel.common_ext, kernel.normalize
 _RAISE_LEVEL, _DEGREE_COMPONENT = algebra.raise_level, algebra.degree_component
 _POWER_OF_BASE, _INNER_PAIR = scalar.power_of_base, endo.inner_pair
 _ENDOMORPHISM_INIT = endo.Endomorphism.__init__
@@ -302,6 +308,11 @@ _E1, _E2 = Word((1,), ()), Word((2,), ())
 
 def _concat_taking_e2_for_e1(theta, w1, w2):
     return _WORD_CONCAT(theta, w1, _E1 if w2 == _E2 else w2)
+
+
+def _normalize_reversing_the_f_block(tables, letters):
+    es, fs = _NORMALIZE(tables, letters)
+    return es, fs[::-1]
 
 
 def _common_ext_dropping_the_last(tables, eu, fu, ev, fv):
@@ -381,6 +392,14 @@ def _endomorphism_reading_swapped_unitaries(self, pair):
 # table, level and sample count found to show it. The defect is planted in
 # package code, on a class or in every twograph module that binds the name.
 PLANTED = {
+    "confluence-3-orders": (
+        "semigroup", "confluence-3-orders", (1, 2, "identity"), (0, 0), 1,
+        [(kernel, "normalize", _normalize_reversing_the_f_block)],
+        r"letters=\[.*\] -> \[.*\] vs kernel \S+"),
+    "factor-round-trip": (
+        "semigroup", "factor-round-trip", (1, 2, "identity"), (0, 2), 1,
+        [(kernel, "factor", _factor_reversing_f1)],
+        r"w=f1\.f2 delta=\(0,2\) -> \(f2\.f1,id\)"),
     "cancellativity": (
         "semigroup", "cancellativity", (2, 2, "flip"), (1, 0), 1,
         [(semigroup, "concat", _concat_taking_e2_for_e1)],
@@ -542,9 +561,10 @@ def test_the_oracle_cases_hold_their_deepest_draw_on_3x3_tables(table, request, 
 
 def test_a_pair_that_is_not_twisted_is_named_by_its_degree(id23, capsys, cold_extension_cache,
                                                            monkeypatch):
-    # with `kernel.factor` reversing f1 the pair (1,0) is still twisted and
-    # (0,1) is the first that is not; the witness must say which
-    monkeypatch.setattr(kernel, "factor", _factor_reversing_f1)
+    # with `common_ext` reversing the f-letters it pulls across a cut the
+    # pair (1,0) is still twisted and (0,1) is the first that is not; the
+    # witness must say which
+    monkeypatch.setattr(kernel, "_pulls_to", _pulls_to_reversing_f1)
     code, broken = _check_all("id23", capsys)
     assert code == 1
     assert broken["case.endo.canonical-pairs-twisted"] == (
